@@ -6,6 +6,7 @@ errors; a typo should never silently fall back to a default.
 """
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -53,6 +54,11 @@ class RunConfig:
     def validate(self):
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
+        for key in sorted(_FLOAT_KEYS | _LIST_KEYS):
+            val = getattr(self, key)
+            if not all(map(math.isfinite, val if key in _LIST_KEYS
+                           else (val,))):
+                raise ValueError(f"{key} must be finite, got {val}")
         for key in ("half_widths", "sizes", "gammas"):
             if len(getattr(self, key)) != self.dim:
                 raise ValueError(f"{key} must list one value per dimension "
@@ -129,8 +135,11 @@ def parse_config(path):
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    with open(path) as fh:
-        cp.read_file(fh, source=path)
+    try:
+        with open(path) as fh:
+            cp.read_file(fh, source=path)
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: config syntax error: {exc}") from None
     if cp.sections() != ["run"]:
         raise ValueError(f"{path}: expected exactly one [run] section, "
                          f"got {cp.sections()}")

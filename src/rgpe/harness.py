@@ -1,4 +1,4 @@
-"""Experiment drivers: convergence studies, self-convergence, vortex runs.
+"""Convergence studies, self-convergence, and lab-frame resampling.
 
 Errors are absolute discrete L2 errors at the final time against a refined
 reference computed once per study.  Work is reported in transform pairs
@@ -17,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrators import DivergenceError, evolve, pairs_per_step
-from .spectral import Field, write_field
+from .spectral import Field
 
 __all__ = ["ConvergenceRow", "StudyResult", "convergence_study",
-           "self_convergence", "vortex_run", "rotate_to_lab", "write_rows",
-           "CSV_HEADER"]
+           "self_convergence", "rotate_to_lab", "write_rows", "CSV_HEADER"]
 
 log = logging.getLogger(__name__)
 
@@ -225,33 +224,3 @@ def rotate_to_lab(field, trap):
     im = map_coordinates(field.values.imag, idx, order=1, mode="grid-wrap")
     return Field(grid, re + 1j * im, field.time, "lab")
 
-
-def vortex_run(cfg, out_dir=None, method=None, density_text=False,
-               lab_frame=False):
-    """Evolve the configured state, dumping snapshots along the way.
-
-    Returns (EvolveResult, written paths).  A final norm drift above 1e-8
-    relative aborts: a run that fails unitarity that badly has nothing
-    trustworthy to plot.
-    """
-    method = method or cfg.method
-    out_dir = out_dir or cfg.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
-    grid, trap, start = cfg.build()
-    times = tuple(cfg.snapshot_times) or (cfg.t_final,)
-    res = evolve(start, trap, cfg.theta, method, cfg.t_final, cfg.n_steps,
-                 snapshot_times=times)
-    drift = abs(res.norm_final - res.norm_initial) / res.norm_initial
-    if not drift < 1e-8:
-        raise RuntimeError(f"norm drift {drift:.3e} over the run; "
-                           "unitarity lost, dumps withheld")
-    paths = []
-    for snap in res.snapshots:
-        stem = os.path.join(out_dir, f"state-t{snap.time:g}")
-        fld = rotate_to_lab(snap, trap) if lab_frame else snap
-        write_field(fld, stem + ".field")
-        paths.append(stem + ".field")
-        if density_text:
-            np.savetxt(stem + "-density.txt", fld.density())
-            paths.append(stem + "-density.txt")
-    return res, paths

@@ -4,14 +4,16 @@ A method descriptor is ``<outer>+<inner>``: the outer scheme is a
 commutator-free exponential integrator built on Gauss collocation nodes
 (cf2, cf4, cf4af, cf6af) or the modified four-exponential sixth-order
 scheme (bbk); the inner scheme is the splitting used to realize each stage
-exponential (strang, rkn74, rkn116).  Each cf stage j applies
+exponential (strang, rkn74, rkn116).  Every outer scheme is a table of
+stages run by one loop; stage j applies
 
-    exp(-i h (b_j K + P_j + b_j theta |phi|^2)),
-    P_j = sum_k a_jk W(., t0 + c_k h),   b_j = sum_k a_jk,
+    exp(-i f_j h (b_j K + P_j + b_j theta |phi|^2)),
+    P_j = sum_k a_jk W(., t0 + c_k h),
 
-with K = -Laplacian/2.  The bbk scheme replaces the outer stages by two
-pointwise phases (its stage-1/4 kinetic weights sum to zero) carrying a
-gradient correction, plus two half-step stage exponentials.
+with K = -Laplacian/2.  For the cf schemes f_j = 1 and b_j = sum_k a_jk.
+The bbk scheme has two half-step stages with b = 1 between two stages with
+b = 0 (their weights sum to zero), which are pure pointwise phases carrying
+a gradient correction.
 """
 
 import hashlib
@@ -21,19 +23,36 @@ from dataclasses import dataclass, field as dataclass_field
 from . import _tables
 from .model import TrapOnGrid
 from .spectral import Field, transform_pairs
-from .splitting import SPLITTINGS, apply_splitting, potential_flow, \
-    splitting_pairs
+from .splitting import SPLIT_ORDERS, SPLITTINGS, apply_splitting, \
+    potential_flow, splitting_pairs
 
-__all__ = ["METHODS", "method_order", "pairs_per_step", "method_checksum",
-           "make_stepper", "evolve", "EvolveResult", "DivergenceError"]
+__all__ = ["METHODS", "OUTER_SCHEMES", "method_order", "pairs_per_step",
+           "method_checksum", "make_stepper", "evolve", "EvolveResult",
+           "DivergenceError"]
 
-_CF_TABLES = {
-    "cf2": (_tables.CF2_A, _tables.GAUSS1_NODES, 2),
-    "cf4": (_tables.CF4_A, _tables.GAUSS2_NODES, 4),
-    "cf4af": (_tables.CF4AF_A, _tables.GAUSS3_NODES, 4),
-    "cf6af": (_tables.CF6AF_A, _tables.GAUSS3_NODES, 6),
+
+def _cf(table, nodes, order):
+    return nodes, order, tuple((1.0, row, math.fsum(row), False)
+                               for row in table)
+
+
+# outer scheme -> (nodes, order, stages); a stage is (tau fraction, node
+# weights, kinetic weight b, gradient-corrected?).  A stage with b = 0 is a
+# pure phase, and a corrected stage adds BBK_WTILDE_COEF h^2 times
+# |grad(W(., t_last) - W(., t_first))|^2 to its potential.  The bbk kinetic
+# weights are the exact 0 and 1 its weights sum to; fsum gives 6.9e-18 and
+# 1 - 1.1e-16, which would change the results.
+_A1, _A2 = _tables.BBK_A1, _tables.BBK_A2
+OUTER_SCHEMES = {
+    "cf2": _cf(_tables.CF2_A, _tables.GAUSS1_NODES, 2),
+    "cf4": _cf(_tables.CF4_A, _tables.GAUSS2_NODES, 4),
+    "cf4af": _cf(_tables.CF4AF_A, _tables.GAUSS3_NODES, 4),
+    "cf6af": _cf(_tables.CF6AF_A, _tables.GAUSS3_NODES, 6),
+    "bbk": (_tables.GAUSS3_NODES, 6, ((1.0, _A1, 0.0, True),
+                                      (0.5, _A2, 1.0, False),
+                                      (0.5, _A2[::-1], 1.0, False),
+                                      (1.0, _A1[::-1], 0.0, True))),
 }
-_SPLIT_ORDER = {"strang": 2, "rkn74": 4, "rkn116": 6}
 
 METHODS = ("cf2+strang", "cf4+rkn74", "cf4af+rkn74", "cf6af+rkn116",
            "bbk+strang", "bbk+rkn74", "bbk+rkn116")
@@ -41,80 +60,59 @@ METHODS = ("cf2+strang", "cf4+rkn74", "cf4af+rkn74", "cf6af+rkn116",
 
 def _parse(method):
     outer, sep, inner = method.partition("+")
-    if not sep or inner not in SPLITTINGS or \
-            (outer != "bbk" and outer not in _CF_TABLES):
+    if not sep or inner not in SPLITTINGS or outer not in OUTER_SCHEMES:
         raise ValueError(f"unknown method {method!r}; "
                          f"available: {', '.join(METHODS)}")
-    return outer, inner
+    return OUTER_SCHEMES[outer], inner
 
 
 def method_order(method):
     """Nominal global convergence order: the weaker of the two parts."""
-    outer, inner = _parse(method)
-    outer_order = 6 if outer == "bbk" else _CF_TABLES[outer][2]
-    return min(outer_order, _SPLIT_ORDER[inner])
+    (_, order, _), inner = _parse(method)
+    return min(order, SPLIT_ORDERS[inner])
 
 
 def pairs_per_step(method):
     """Exact number of transform pairs one step costs."""
-    outer, inner = _parse(method)
-    stages = 2 if outer == "bbk" else len(_CF_TABLES[outer][0])
-    return stages * len(splitting_pairs(inner)[0])
+    (_, _, stages), inner = _parse(method)
+    split = sum(1 for _, _, b, _ in stages if b)
+    return split * len(splitting_pairs(inner)[0])
 
 
 def method_checksum(method):
     """Short digest of every coefficient the method runs on."""
-    outer, inner = _parse(method)
-    if outer == "bbk":
-        data = (_tables.GAUSS3_NODES, _tables.BBK_A1, _tables.BBK_A2,
-                (_tables.BBK_WTILDE_COEF,))
-    else:
-        table, nodes, _ = _CF_TABLES[outer]
-        data = (nodes,) + tuple(table)
-    data = data + splitting_pairs(inner)
+    (nodes, _, stages), inner = _parse(method)
+    data = [nodes] + [(frac, b, corrected) + tuple(row)
+                      for frac, row, b, corrected in stages]
+    if any(corrected for *_, corrected in stages):
+        data.append((_tables.BBK_WTILDE_COEF,))
+    data += splitting_pairs(inner)
     blob = repr([[float(v) for v in row] for row in data]).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
 def make_stepper(method, trap_grid, theta):
     """Return step(values, t, h) -> values advancing one step from time t."""
-    outer, inner = _parse(method)
+    (nodes, _, stages), inner = _parse(method)
     pairs = splitting_pairs(inner)
     grid = trap_grid.grid
     theta = float(theta)
-
-    if outer == "bbk":
-        nodes = _tables.GAUSS3_NODES
-        a1, a2 = _tables.BBK_A1, _tables.BBK_A2
-        a1r, a2r = a1[::-1], a2[::-1]
-        wt = _tables.BBK_WTILDE_COEF
-
-        def step(values, t, h):
-            times = [t + c * h for c in nodes]
-            corr = (wt * h * h) * trap_grid.gradient_difference_sq(times[2],
-                                                                   times[0])
-            values = potential_flow(values, h,
-                                    trap_grid.combination(a1, times) + corr)
-            values = apply_splitting(grid, values, pairs, 0.5 * h,
-                                     trap_grid.combination(a2, times),
-                                     1.0, theta)
-            values = apply_splitting(grid, values, pairs, 0.5 * h,
-                                     trap_grid.combination(a2r, times),
-                                     1.0, theta)
-            values = potential_flow(values, h,
-                                    trap_grid.combination(a1r, times) + corr)
-            return values
-
-        return step
-
-    table, nodes, _ = _CF_TABLES[outer]
-    rows = [(row, math.fsum(row)) for row in table]
+    corrected = any(corrects for *_, corrects in stages)
 
     def step(values, t, h):
         times = [t + c * h for c in nodes]
-        for row, b in rows:
+        if corrected:
+            corr = (_tables.BBK_WTILDE_COEF * h * h) * \
+                trap_grid.gradient_difference_sq(times[-1], times[0])
+        for frac, row, b, corrects in stages:
             P = trap_grid.combination(row, times)
-            values = apply_splitting(grid, values, pairs, h, P, b, b * theta)
+            if corrects:
+                P = P + corr
+            if b:
+                values = apply_splitting(grid, values, pairs, frac * h, P, b,
+                                         b * theta)
+            else:
+                values = potential_flow(values, frac * h, P)
         return values
 
     return step

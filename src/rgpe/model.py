@@ -31,10 +31,14 @@ class Trap:
         gammas = tuple(float(g) for g in gammas)
         if len(gammas) not in (2, 3):
             raise ValueError("gammas must have length 2 or 3")
-        if any(g <= 0 for g in gammas):
-            raise ValueError("trap frequencies must be positive")
+        if not all(0 < g < np.inf for g in gammas):
+            raise ValueError("trap frequencies must be positive and finite")
+        rotation_rate = float(rotation_rate)
+        if not np.isfinite(rotation_rate):
+            raise ValueError(f"rotation rate must be finite, "
+                             f"got {rotation_rate}")
         self.gammas = gammas
-        self.rotation_rate = float(rotation_rate)
+        self.rotation_rate = rotation_rate
 
     @property
     def dim(self):

@@ -67,8 +67,9 @@ class Grid:
             if m < 4 or m % 2:
                 raise ValueError(f"grid sizes must be even and >= 4, got {m}")
         for L in half_widths:
-            if not (float(L) > 0):
-                raise ValueError(f"half_widths must be positive, got {L}")
+            if not 0 < float(L) < np.inf:
+                raise ValueError("half_widths must be positive and finite, "
+                                 f"got {L}")
         self.dim = dim
         self.sizes = sizes
         # fix the spacing first and re-derive the half width from it, so that
@@ -186,20 +187,29 @@ def write_field(field, path):
         fh.write(np.ascontiguousarray(field.values, dtype="<c16").tobytes())
 
 
+def _unpack(fh, fmt):
+    """Read and unpack one header item; a short read is a corrupt dump."""
+    size = struct.calcsize(fmt)
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise ValueError("corrupt dump: truncated header")
+    return struct.unpack(fmt, raw)
+
+
 def read_field(path):
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"not a field dump: bad magic {magic!r}")
-        version, dim = struct.unpack("<II", fh.read(8))
+        version, dim = _unpack(fh, "<II")
         if version != _VERSION:
             raise ValueError(f"unsupported dump version {version}")
         if dim not in (1, 2, 3):
             raise ValueError(f"corrupt dump: dim = {dim}")
-        sizes = struct.unpack(f"<{dim}I", fh.read(4 * dim))
-        half_widths = struct.unpack(f"<{dim}d", fh.read(8 * dim))
-        (time,) = struct.unpack("<d", fh.read(8))
-        (frame_code,) = struct.unpack("<B", fh.read(1))
+        sizes = _unpack(fh, f"<{dim}I")
+        half_widths = _unpack(fh, f"<{dim}d")
+        (time,) = _unpack(fh, "<d")
+        (frame_code,) = _unpack(fh, "<B")
         if frame_code not in _FRAME_NAMES:
             raise ValueError(f"corrupt dump: frame code {frame_code}")
         count = int(np.prod(sizes))

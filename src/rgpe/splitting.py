@@ -15,7 +15,7 @@ from . import _tables
 from .model import nonlinearity
 from .spectral import kinetic_flow
 
-__all__ = ["SPLITTINGS", "splitting_pairs", "potential_flow",
+__all__ = ["SPLITTINGS", "SPLIT_ORDERS", "splitting_pairs", "potential_flow",
            "apply_splitting"]
 
 SPLITTINGS = {
@@ -23,6 +23,7 @@ SPLITTINGS = {
     "rkn74": (_tables.RKN74_ALPHA, _tables.RKN74_BETA),
     "rkn116": (_tables.RKN116_ALPHA, _tables.RKN116_BETA),
 }
+SPLIT_ORDERS = {"strang": 2, "rkn74": 4, "rkn116": 6}
 
 
 def splitting_pairs(name):

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+import rgpe.cli
 import rgpe.harness
 from rgpe.cli import _bundled, main
 from rgpe.config import parse_config
@@ -68,6 +69,42 @@ def test_bad_method_exits_2(tmp_path, capsys):
 
 def test_missing_config_exits_2(tmp_path):
     assert main(["--config", str(tmp_path / "nope.cfg"), "simulate"]) == 2
+
+
+@pytest.mark.parametrize("text,match", [
+    ("theta = nan\n", "theta must be finite"),
+    ("omega = inf\n", "omega must be finite"),
+    ("half_widths = inf, 10\n", "half_widths must be finite"),
+    ("theta = 1\ntheta = 2\n", "syntax error"),
+    ("theta\n", "syntax error"),
+], ids=["nan-theta", "inf-omega", "inf-half-width", "duplicate-key",
+        "no-equals"])
+def test_invalid_config_exits_2(tmp_path, capsys, text, match):
+    p = tmp_path / "bad.cfg"
+    p.write_text("[run]\n" + text)
+    assert main(["--config", str(p), "--out", str(tmp_path / "o"),
+                 "simulate"]) == 2
+    err = capsys.readouterr().err
+    assert match in err
+    assert not list(tmp_path.rglob("*.field"))
+
+
+def test_simulate_withholds_dumps_on_norm_drift(tiny_cfg, tmp_path,
+                                                 monkeypatch, capsys):
+    real_evolve = rgpe.cli.evolve
+
+    def drifting(*a, **k):
+        res = real_evolve(*a, **k)
+        res.norm_final = res.norm_initial * (1.0 + 1e-6)
+        return res
+
+    monkeypatch.setattr(rgpe.cli, "evolve", drifting)
+    out = tmp_path / "o"
+    code = main(["--config", tiny_cfg, "--out", str(out), "simulate",
+                 "--snapshot-times", "0.25,0.5"])
+    assert code == 3
+    assert "dumps withheld" in capsys.readouterr().err
+    assert not list(out.glob("*.field"))
 
 
 def test_runtime_error_exits_3(tiny_cfg, tmp_path, monkeypatch, capsys):

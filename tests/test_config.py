@@ -54,6 +54,19 @@ def test_wrong_section(tmp_path):
         parse_config(_write(tmp_path, "[simulation]\ntheta = 1\n"))
 
 
+@pytest.mark.parametrize("text", [
+    "[run]\ntheta = 1\ntheta = 2\n",
+    "[run]\ntheta = 1\n[run]\n",
+    "[run]\ntheta\n",
+    "theta = 1\n",
+], ids=["duplicate-key", "duplicate-section", "no-equals", "no-section"])
+def test_syntax_errors_are_value_errors(tmp_path, text):
+    path = _write(tmp_path, text)
+    with pytest.raises(ValueError, match="syntax error") as exc:
+        parse_config(path)
+    assert path in str(exc.value)
+
+
 def test_dimension_mismatch_rejected(tmp_path):
     with pytest.raises(ValueError, match="gammas"):
         parse_config(_write(tmp_path, "[run]\ngammas = 0.8, 1.2, 1.0\n"))
@@ -92,6 +105,11 @@ def test_with_overrides_ignores_none():
     (dict(snapshot_times=(9.0,)), "snapshot"),
     (dict(initial_state="soliton"), "initial_state"),
     (dict(dim=4), "dim"),
+    (dict(theta=float("nan")), "theta must be finite"),
+    (dict(omega=float("inf")), "omega must be finite"),
+    (dict(half_widths=(float("inf"), 10.0)), "half_widths must be finite"),
+    (dict(gammas=(0.8, float("nan"))), "gammas must be finite"),
+    (dict(t0=float("-inf")), "t0 must be finite"),
 ])
 def test_validate_rejects(kw, match):
     with pytest.raises(ValueError, match=match):

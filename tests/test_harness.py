@@ -1,4 +1,4 @@
-"""Convergence studies, CSV output, and the snapshot-dumping run driver."""
+"""Convergence studies, CSV output, snapshot dumps, and lab-frame resampling."""
 
 import csv
 import math
@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import rgpe.harness as harness
+from rgpe.cli import main
 from rgpe.config import RunConfig
 from rgpe.harness import (CSV_HEADER, ConvergenceRow, StudyResult,
                           _steps_for, convergence_study, rotate_to_lab,
-                          self_convergence, vortex_run, write_rows)
+                          self_convergence, write_rows)
 from rgpe.integrators import DivergenceError, pairs_per_step
 from rgpe.model import Trap, gaussian_state
 from rgpe.oracle import observed_order
@@ -134,6 +135,22 @@ def test_write_rows_roundtrips_floats(tmp_path):
     assert data[5] == "12.346"
 
 
+def test_vortex_run_writes_snapshots(tmp_path):
+    cfg = tmp_path / "vortex.cfg"
+    cfg.write_text("[run]\ndim = 2\nhalf_widths = 6, 6\nsizes = 32, 32\n"
+                   "theta = 1\nt_final = 0.5\nn_steps = 20\n"
+                   "initial_state = vortex\nmethod = cf4+rkn74\n"
+                   "snapshot_times = 0.25, 0.5\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 0
+    assert sorted(p.name for p in out.glob("state-*")) == [
+        "state-t0.25.field", "state-t0.5.field"]
+    back = read_field(str(out / "state-t0.5.field"))
+    assert back.time == pytest.approx(0.5)
+    assert back.frame == "rotating"
+    assert back.density().shape == (32, 32)
+
+
 def test_rotate_to_lab_identity_at_start():
     grid = Grid(2, (8.0, 8.0), (32, 32))
     vals = gaussian_state(grid, (1.1, 0.9))
@@ -149,34 +166,3 @@ def test_rotate_to_lab_rejects_3d():
     with pytest.raises(ValueError, match="2-D"):
         rotate_to_lab(field, Trap((0.8, 1.2, 1.0), 0.5))
 
-
-def test_vortex_run_writes_snapshots(tmp_path):
-    cfg = RunConfig(half_widths=(6.0, 6.0), sizes=(32, 32), theta=1.0,
-                    t_final=0.5, n_steps=20, initial_state="vortex",
-                    method="cf4+rkn74", snapshot_times=(0.25, 0.5))
-    res, paths = vortex_run(cfg, out_dir=str(tmp_path), density_text=True)
-    assert res.n_steps == 20
-    assert sorted(p.rsplit("/", 1)[1] for p in paths) == [
-        "state-t0.25-density.txt", "state-t0.25.field",
-        "state-t0.5-density.txt", "state-t0.5.field"]
-    back = read_field(paths[2] if paths[2].endswith(".field") else paths[1])
-    assert back.time == pytest.approx(0.5)
-    assert back.frame == "rotating"
-    dens = np.loadtxt(paths[1] if paths[1].endswith(".txt") else paths[3])
-    assert dens.shape == (32, 32)
-
-
-def test_vortex_run_aborts_on_norm_drift(tmp_path, monkeypatch):
-    cfg = RunConfig(half_widths=(6.0, 6.0), sizes=(32, 32), t_final=0.5,
-                    n_steps=5, initial_state="vortex")
-
-    class FakeResult:
-        norm_initial = 1.0
-        norm_final = 1.0 + 1e-6
-        snapshots = ()
-        n_steps = 5
-
-    monkeypatch.setattr(harness, "evolve", lambda *a, **k: FakeResult())
-    with pytest.raises(RuntimeError, match="unitarity lost"):
-        vortex_run(cfg, out_dir=str(tmp_path))
-    assert not list(tmp_path.glob("*.field"))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.linalg import expm
 
 from rgpe import _tables
@@ -13,7 +14,7 @@ from rgpe.integrators import (METHODS, DivergenceError, evolve,
 from rgpe.model import Trap, TrapOnGrid, gaussian_state, modified_potential
 from rgpe.oracle import dense_kinetic
 from rgpe.spectral import Field, Grid
-from rgpe.splitting import apply_splitting, potential_flow
+from rgpe.splitting import apply_splitting
 
 TRAP = Trap((0.8, 1.2), 0.5)
 SMALL = Grid(2, (3.5, 3.5), (8, 8))
@@ -161,6 +162,24 @@ def test_step_matches_dense_stage_exponentials(method):
     out = make_stepper(method, tg, 0.0)(vals, 0.3, h)
     ref = _dense_step(method, tg, vals, 0.3, h)
     assert SMALL.l2_norm(out - ref) < 1e-11
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_step_executes_nominal_transforms(method, monkeypatch):
+    # count the transforms scipy really runs, not the kinetic flows
+    calls = []
+    for name in ("fftn", "ifftn"):
+        real = getattr(scipy.fft, name)
+
+        def counted(*a, _real=real, _name=name, **k):
+            calls.append(_name)
+            return _real(*a, **k)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+    tg = TrapOnGrid(TRAP, SMALL)
+    make_stepper(method, tg, 10.0)(_small_state(), 0.3, 0.05)
+    assert calls.count("fftn") == calls.count("ifftn")
+    assert len(calls) == 2 * pairs_per_step(method)
 
 
 def test_evolve_single_step_equals_stepper():

@@ -24,6 +24,12 @@ def test_trap_validation():
         Trap((0.8,), 0.5)                 # 1-D trap not meaningful here
     with pytest.raises(ValueError):
         Trap((0.8, -1.2), 0.5)
+    with pytest.raises(ValueError):
+        Trap((0.8, float("inf")), 0.5)
+    with pytest.raises(ValueError):
+        Trap((0.8, float("nan")), 0.5)
+    with pytest.raises(ValueError):
+        Trap((0.8, 1.2), float("inf"))
 
 
 def test_rotation_matrix_quarter_turn():

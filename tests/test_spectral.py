@@ -40,6 +40,10 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(2, (1.0, -1.0), (4, 4))       # nonpositive extent
     with pytest.raises(ValueError):
+        Grid(2, (float("inf"), 1.0), (4, 4))  # infinite extent
+    with pytest.raises(ValueError):
+        Grid(2, (float("nan"), 1.0), (4, 4))  # undefined extent
+    with pytest.raises(ValueError):
         Grid(4, (1.0,) * 4, (4,) * 4)      # unsupported dimension
 
 
@@ -161,3 +165,12 @@ def test_field_dump_rejects_corruption(tmp_path, rng):
     (tmp_path / "long.field").write_bytes(raw + b"\0" * 8)
     with pytest.raises(ValueError):
         read_field(tmp_path / "long.field")
+
+    # a dump cut at any byte offset, header or payload, is rejected
+    for grid in (grid, Grid(2, (1.0, 2.0), (4, 4))):
+        write_field(Field(grid, _random_field(grid, rng)), path)
+        raw = path.read_bytes()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match="bad magic|corrupt dump"):
+                read_field(path)
