@@ -13,8 +13,7 @@ from .integrators import (DivergenceError, EvolveResult, METHODS, evolve,
 from .model import (Trap, TrapOnGrid, gaussian_state, modified_potential,
                     nonlinearity, vortex_state)
 from .oracle import classical_transform_check, dense_reference, observed_order
-from .spectral import (Field, Grid, kinetic_flow, read_field,
-                       transform_pairs, write_field)
+from .spectral import Field, Grid, kinetic_flow, read_field, write_field
 from .splitting import SPLITTINGS, apply_splitting, potential_flow
 
 __version__ = "0.1.0"
@@ -26,8 +25,7 @@ __all__ = [
     "Trap", "TrapOnGrid", "gaussian_state", "modified_potential",
     "nonlinearity", "vortex_state",
     "classical_transform_check", "dense_reference", "observed_order",
-    "Field", "Grid", "kinetic_flow", "read_field", "transform_pairs",
-    "write_field",
+    "Field", "Grid", "kinetic_flow", "read_field", "write_field",
     "SPLITTINGS", "apply_splitting", "potential_flow",
     "__version__",
 ]

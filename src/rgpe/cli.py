@@ -3,6 +3,7 @@
 Subcommands: simulate, converge, self-converge, oracle-check,
 gradient-check, list-schemes.  Exit codes: 0 success, 2 invalid
 input/config, 3 runtime failure (including failed checks), 4 divergence.
+Input is checked before any step runs.
 """
 
 import argparse
@@ -55,14 +56,18 @@ def _echo_config(cfg):
 
 
 def _methods_arg(args, default):
+    methods = list(default)
     if args.methods:
-        return [m.strip() for m in args.methods.split(",") if m.strip()]
-    return list(default)
+        methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    harness.check_methods(methods)
+    return methods
 
 
 def _stepsizes(cfg, args):
     if getattr(args, "steps", None) is not None:
         counts = [int(s) for s in str(args.steps).split(",")]
+        if min(counts) < 1:
+            raise ValueError(f"step counts must be positive, got {args.steps}")
         span = cfg.t_final - cfg.t0
         return [span / n for n in counts]
     if cfg.stepsizes:
@@ -71,8 +76,18 @@ def _stepsizes(cfg, args):
     return [span / 2 ** m for m in range(4, 10)]
 
 
+def _snapshot_name(time):
+    return f"state-t{time:g}.field"
+
+
 def cmd_simulate(args):
     cfg = _load_config(args)
+    named = {}
+    for ts in cfg.snapshot_times:
+        other = named.setdefault(_snapshot_name(ts), ts)
+        if other != ts:
+            raise ValueError(f"snapshot times {other!r} and {ts!r} would both "
+                             f"be dumped to {_snapshot_name(ts)}")
     _echo_config(cfg)
     grid, trap, start = cfg.build()
     res = evolve(start, trap, cfg.theta, cfg.method, cfg.t_final, cfg.n_steps,
@@ -85,8 +100,7 @@ def cmd_simulate(args):
     final_path = os.path.join(cfg.out_dir, "final.field")
     write_field(res.field, final_path)
     for snap in res.snapshots:
-        write_field(snap, os.path.join(cfg.out_dir,
-                                       f"state-t{snap.time:g}.field"))
+        write_field(snap, os.path.join(cfg.out_dir, _snapshot_name(snap.time)))
     print(f"method          {cfg.method}")
     print(f"steps           {res.n_steps} (h = {res.step_size:g})")
     print(f"transform pairs {res.transform_pairs}")
@@ -97,9 +111,9 @@ def cmd_simulate(args):
 
 def cmd_converge(args):
     cfg = _load_config(args)
-    _echo_config(cfg)
     methods = _methods_arg(args, METHODS)
     stepsizes = _stepsizes(cfg, args)
+    _echo_config(cfg)
     csv_path = os.path.join(cfg.out_dir, "convergence.csv")
     study = harness.convergence_study(cfg, methods, stepsizes,
                                       csv_path=csv_path)
@@ -119,9 +133,9 @@ def cmd_converge(args):
 
 def cmd_self_converge(args):
     cfg = _load_config(args)
-    _echo_config(cfg)
     methods = _methods_arg(args, [cfg.method])
     stepsizes = _stepsizes(cfg, args)
+    _echo_config(cfg)
     for m in methods:
         csv_path = os.path.join(cfg.out_dir,
                                 f"self-convergence-{m.replace('+', '-')}.csv")

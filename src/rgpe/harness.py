@@ -1,10 +1,12 @@
 """Convergence studies, self-convergence, and lab-frame resampling.
 
 Errors are absolute discrete L2 errors at the final time against a refined
-reference computed once per study.  Work is reported in transform pairs
-(one forward plus one inverse FFT); wall time is recorded for curiosity but
-is machine-dependent and never part of any assertion.  Individual-transform
-counts are exactly twice the pair counts.
+reference computed once per study, and every study checks that reference
+against a twice-finer run.  Work is reported in transform pairs (one forward
+plus one inverse FFT), a run's being its step count times its method's fixed
+``pairs_per_step``; wall time is recorded for curiosity but is
+machine-dependent and never part of any assertion.  Methods are checked
+before any run starts.
 """
 
 import csv
@@ -16,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrators import DivergenceError, evolve, pairs_per_step
+from .integrators import DivergenceError, evolve, method_order
 from .spectral import Field
 
-__all__ = ["ConvergenceRow", "StudyResult", "convergence_study",
-           "self_convergence", "rotate_to_lab", "write_rows", "CSV_HEADER"]
+__all__ = ["ConvergenceRow", "StudyResult", "check_methods",
+           "convergence_study", "self_convergence", "rotate_to_lab",
+           "write_rows", "CSV_HEADER"]
 
 log = logging.getLogger(__name__)
 
@@ -57,6 +60,14 @@ class StudyResult:
         return list(hs), list(es)
 
 
+def check_methods(methods):
+    """Reject an empty method list or an unknown descriptor."""
+    if not methods:
+        raise ValueError("no methods requested")
+    for m in methods:
+        method_order(m)  # raises on unknown descriptors
+
+
 def _steps_for(span, stepsizes):
     """Convert requested stepsizes to exact step counts, strictly checked."""
     counts = []
@@ -86,8 +97,7 @@ def _pool_size(cfg, requested=None):
     return os.cpu_count() or 1
 
 
-def convergence_study(cfg, methods, stepsizes, workers=None, csv_path=None,
-                      self_check=True):
+def convergence_study(cfg, methods, stepsizes, workers=None, csv_path=None):
     """Run every (method, stepsize) pair against one refined reference.
 
     ``stepsizes`` is either a list shared by all methods or a mapping from
@@ -96,6 +106,7 @@ def convergence_study(cfg, methods, stepsizes, workers=None, csv_path=None,
     cross-checked against a twice-finer run before any error is trusted.
     Diverged runs are kept as rows with an infinite error, never dropped.
     """
+    check_methods(methods)
     span = cfg.t_final - cfg.t0
     if isinstance(stepsizes, dict):
         per_method = {m: _steps_for(span, hs) for m, hs in stepsizes.items()}
@@ -111,27 +122,24 @@ def convergence_study(cfg, methods, stepsizes, workers=None, csv_path=None,
 
     with ThreadPoolExecutor(max_workers=_pool_size(cfg, workers)) as pool:
         ref_fut = pool.submit(_run_one, cfg, cfg.reference_method, n_ref)
-        check_fut = (pool.submit(_run_one, cfg, cfg.reference_method,
-                                 2 * n_ref) if self_check else None)
+        check_fut = pool.submit(_run_one, cfg, cfg.reference_method, 2 * n_ref)
         futs = {(m, n): pool.submit(_run_one, cfg, m, n) for m, n in jobs}
 
         ref, _ = ref_fut.result()
-        check_distance = float("nan")
-        if check_fut is not None:
-            check, _ = check_fut.result()
-            check_distance = ref.field.distance(check.field)
-            # no study row below 1e-9 is ever trusted, so the reference pair
-            # must agree below that floor.  The pair cannot agree to machine
-            # precision: over tens of thousands of steps the runs accumulate
-            # FFT roundoff, which strong coupling then stretches (measured
-            # 1.7e-11 at theta = 0 and 1.7e-10 at theta = 10 on the 64^2
-            # benchmark), so a tighter bound would reject healthy references.
-            if not check_distance < 1e-9:
-                raise RuntimeError(
-                    f"reference self-check failed: {cfg.reference_method} at "
-                    f"{n_ref} and {2 * n_ref} steps differ by "
-                    f"{check_distance:.3e} (>= 1e-9); the study cannot be "
-                    f"trusted at this resolution")
+        check, _ = check_fut.result()
+        check_distance = ref.field.distance(check.field)
+        # no study row below 1e-9 is ever trusted, so the reference pair must
+        # agree below that floor.  The pair cannot agree to machine precision:
+        # over tens of thousands of steps the runs accumulate FFT roundoff,
+        # which strong coupling then stretches (measured 1.7e-11 at theta = 0
+        # and 1.7e-10 at theta = 10 on the 64^2 benchmark), so a tighter
+        # bound would reject healthy references.
+        if not check_distance < 1e-9:
+            raise RuntimeError(
+                f"reference self-check failed: {cfg.reference_method} at "
+                f"{n_ref} and {2 * n_ref} steps differ by "
+                f"{check_distance:.3e} (>= 1e-9); the study cannot be "
+                f"trusted at this resolution")
 
         rows = []
         for (m, n) in jobs:
@@ -143,11 +151,6 @@ def convergence_study(cfg, methods, stepsizes, workers=None, csv_path=None,
                 rows.append(ConvergenceRow(m, h, n, float("inf"), 0, 0.0,
                                            diverged=True))
                 continue
-            expected = n * pairs_per_step(m)
-            if res.transform_pairs != expected:
-                raise AssertionError(
-                    f"{m}: transform pairs {res.transform_pairs} != "
-                    f"predicted {expected}")
             rows.append(ConvergenceRow(m, h, n,
                                        res.field.distance(ref.field),
                                        res.transform_pairs, wall,
@@ -169,6 +172,7 @@ def self_convergence(cfg, method, stepsizes, workers=None, csv_path=None):
     is the substitute.  Needs at least four distinct stepsizes to say
     anything about a slope.
     """
+    check_methods([method])
     span = cfg.t_final - cfg.t0
     counts = _steps_for(span, stepsizes)
     if len(counts) < 4:

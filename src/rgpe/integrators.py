@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from . import _tables
 from .model import TrapOnGrid
-from .spectral import Field, transform_pairs
+from .spectral import Field
 from .splitting import SPLIT_ORDERS, SPLITTINGS, apply_splitting, \
     potential_flow, splitting_pairs
 
@@ -94,7 +94,6 @@ def method_checksum(method):
 def make_stepper(method, trap_grid, theta):
     """Return step(values, t, h) -> values advancing one step from time t."""
     (nodes, _, stages), inner = _parse(method)
-    pairs = splitting_pairs(inner)
     grid = trap_grid.grid
     theta = float(theta)
     corrected = any(corrects for *_, corrects in stages)
@@ -109,7 +108,7 @@ def make_stepper(method, trap_grid, theta):
             if corrects:
                 P = P + corr
             if b:
-                values = apply_splitting(grid, values, pairs, frac * h, P, b,
+                values = apply_splitting(grid, values, inner, frac * h, P, b,
                                          b * theta)
             else:
                 values = potential_flow(values, frac * h, P)
@@ -143,13 +142,17 @@ class EvolveResult:
         return abs(self.norm_final - self.norm_initial)
 
 
-def evolve(start, trap, theta, method, t_final, n_steps, snapshot_times=(),
-           check_every=16):
+CHECK_EVERY = 16  # steps between norm checks
+
+
+def evolve(start, trap, theta, method, t_final, n_steps, snapshot_times=()):
     """Propagate a Field to t_final in n_steps fixed steps of one method.
 
     Snapshot times must fall on step boundaries (the stepper has no dense
     output); a copy of the state is recorded at each.  Norm blow-up or
-    non-finite values raise :class:`DivergenceError`.
+    non-finite values, looked for every ``CHECK_EVERY`` steps, at snapshots
+    and at the end, raise :class:`DivergenceError`.  The reported transform
+    pairs are the method's fixed cost, ``n_steps * pairs_per_step(method)``.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
@@ -175,14 +178,13 @@ def evolve(start, trap, theta, method, t_final, n_steps, snapshot_times=(),
     stepper = make_stepper(method, trap_grid, theta)
     values = start.values.copy()
     norm0 = grid.l2_norm(values)
-    pairs_before = transform_pairs.thread_count
 
     snapshots = []
     if 0 in snap_at:
         snapshots.append(Field(grid, values.copy(), t0, start.frame))
     for n in range(1, n_steps + 1):
         values = stepper(values, t0 + (n - 1) * h, h)
-        if n % check_every == 0 or n == n_steps or n in snap_at:
+        if n % CHECK_EVERY == 0 or n == n_steps or n in snap_at:
             norm = grid.l2_norm(values)
             if not math.isfinite(norm) or norm > 10.0 * max(norm0, 1e-300):
                 err = DivergenceError(
@@ -198,6 +200,5 @@ def evolve(start, trap, theta, method, t_final, n_steps, snapshot_times=(),
     final = Field(grid, values, t0 + n_steps * h, start.frame)
     return EvolveResult(field=final, n_steps=n_steps, step_size=h,
                         norm_initial=norm0, norm_final=final.norm(),
-                        transform_pairs=transform_pairs.thread_count
-                        - pairs_before,
+                        transform_pairs=n_steps * pairs_per_step(method),
                         snapshots=snapshots)

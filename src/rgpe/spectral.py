@@ -4,54 +4,24 @@ A ``Grid`` is a uniform periodic box ``[-L1, L1) x ... x [-Ld, Ld)`` with the
 standard FFT wavenumber layout ``k_n = (pi / L) * n`` for integer frequencies
 ``n`` in ``[-M/2, M/2)``.  The exact kinetic flow ``exp(i tau Laplacian / 2)``
 is a diagonal phase in Fourier space; every application costs one forward /
-inverse transform pair, tallied in :data:`transform_pairs` so that schemes can
-be compared by work actually done rather than by step counts.
+inverse transform pair, so a method's cost per step is a fixed count of pairs
+(``integrators.pairs_per_step``) and schemes are compared by transforms rather
+than by step counts.
 """
 
+import math
+import os
 import struct
-import threading
 
 import numpy as np
 from scipy import fft as _fft
 
-__all__ = ["Grid", "Field", "TransformCounter", "transform_pairs",
-           "kinetic_flow", "write_field", "read_field"]
+__all__ = ["Grid", "Field", "kinetic_flow", "write_field", "read_field"]
 
 _MAGIC = b"RGPE"
 _VERSION = 1
 _FRAME_CODES = {"rotating": 0, "lab": 1}
 _FRAME_NAMES = {v: k for k, v in _FRAME_CODES.items()}
-
-
-class TransformCounter:
-    """FFT pair counter: a per-thread tally plus a locked process-wide total.
-
-    Convergence studies may run several propagations concurrently; per-run
-    costs are read from the thread-local tally while the global total stays
-    consistent across workers.
-    """
-
-    def __init__(self):
-        self._local = threading.local()
-        self._lock = threading.Lock()
-        self._total = 0
-
-    def add_pair(self, n=1):
-        self._local.count = self.thread_count + n
-        with self._lock:
-            self._total += n
-
-    @property
-    def thread_count(self):
-        return getattr(self._local, "count", 0)
-
-    @property
-    def total(self):
-        with self._lock:
-            return self._total
-
-
-transform_pairs = TransformCounter()
 
 
 class Grid:
@@ -136,9 +106,7 @@ def kinetic_flow(grid, values, tau, b=1.0):
     backward fractional steps).
     """
     ph = grid.kinetic_phase(b * tau)
-    out = _fft.ifftn(_fft.fftn(values) * ph)
-    transform_pairs.add_pair()
-    return out
+    return _fft.ifftn(_fft.fftn(values) * ph)
 
 
 class Field:
@@ -212,12 +180,13 @@ def read_field(path):
         (frame_code,) = _unpack(fh, "<B")
         if frame_code not in _FRAME_NAMES:
             raise ValueError(f"corrupt dump: frame code {frame_code}")
-        count = int(np.prod(sizes))
-        raw = fh.read(16 * count)
-        if len(raw) != 16 * count:
-            raise ValueError("corrupt dump: truncated payload")
-        if fh.read(1):
-            raise ValueError("corrupt dump: trailing data after payload")
+        # Python ints: a corrupt size field must not overflow or allocate
+        expected = 16 * math.prod(sizes)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left != expected:
+            raise ValueError(f"corrupt dump: sizes {sizes} need a payload of "
+                             f"{expected} bytes, found {left}")
+        raw = fh.read(expected)
         values = np.frombuffer(raw, dtype="<c16").reshape(sizes)
     grid = Grid(dim, half_widths, sizes)
     return Field(grid, values.copy(), time, _FRAME_NAMES[frame_code])

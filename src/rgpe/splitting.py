@@ -50,17 +50,14 @@ def potential_flow(values, tau, potential, theta=0.0):
 
 def apply_splitting(grid, values, scheme, tau, potential, kinetic_coef=1.0,
                     theta=0.0):
-    """Propagate values over tau with the named (or explicit) splitting.
+    """Propagate values over tau with the named splitting.
 
     ``potential`` is a real array on the grid; ``kinetic_coef`` scales the
     kinetic term (stages of the exponential integrators need fractional,
     sometimes negative, kinetic weights); ``theta`` is the cubic coefficient
     as seen by this stage, i.e. already scaled by the kinetic weight.
     """
-    if isinstance(scheme, str):
-        alphas, betas = splitting_pairs(scheme)
-    else:
-        alphas, betas = scheme
+    alphas, betas = splitting_pairs(scheme)
     for a, b in zip(alphas, betas):
         values = kinetic_flow(grid, values, a * tau, kinetic_coef)
         if b:

@@ -107,6 +107,59 @@ def test_simulate_withholds_dumps_on_norm_drift(tiny_cfg, tmp_path,
     assert not list(out.glob("*.field"))
 
 
+@pytest.mark.parametrize("t_final,times,names", [
+    ("1.00002", "1.00001,1.00002",
+     ["state-t1.00001.field", "state-t1.00002.field"]),
+    ("1.000002", "1.000001,1.000002", None),
+    ("1.000002", "1,1.000001", None),
+], ids=["distinct", "same-name", "same-name-as-start"])
+def test_snapshot_names_never_collide(tmp_path, monkeypatch, capsys,
+                                      t_final, times, names):
+    # dumps are named with 6 significant digits of their time
+    p = tmp_path / "snap.cfg"
+    p.write_text(TINY_CFG.replace("t_final = 0.5\nn_steps = 10",
+                                  f"t0 = 1\nt_final = {t_final}\nn_steps = 2"))
+    real_evolve = rgpe.cli.evolve
+    calls = []
+
+    def recording(*a, **k):
+        calls.append(a)
+        return real_evolve(*a, **k)
+
+    monkeypatch.setattr(rgpe.cli, "evolve", recording)
+    out = tmp_path / "o"
+    code = main(["--config", str(p), "--out", str(out), "simulate",
+                 "--snapshot-times", times])
+    dumps = sorted(f.name for f in out.glob("state-*.field"))
+    if names is None:
+        assert code == 2
+        assert "would both be dumped" in capsys.readouterr().err
+        assert calls == [] and dumps == []
+    else:
+        assert code == 0 and dumps == names
+
+
+@pytest.mark.parametrize("command", ["converge", "self-converge"])
+@pytest.mark.parametrize("methods,steps,match", [
+    ("cf2+strang,cf9+magic", "2,4,8,16", "unknown method"),
+    (",", "2,4,8,16", "no methods"),
+    ("cf2+strang", "0", "positive"),
+    ("cf2+strang", "8,0", "positive"),
+], ids=["unknown-method", "no-methods", "zero-steps", "zero-in-list"])
+def test_bad_study_arguments_exit_2_before_any_run(tiny_cfg, tmp_path,
+                                                   monkeypatch, capsys,
+                                                   command, methods, steps,
+                                                   match):
+    calls = []
+    monkeypatch.setattr(rgpe.harness, "evolve",
+                        lambda *a, **k: calls.append(a))
+    code = main(["--config", tiny_cfg, "--out", str(tmp_path / "o"), command,
+                 "--methods", methods, "--steps", steps])
+    assert code == 2
+    assert match in capsys.readouterr().err
+    assert calls == []
+
+
 def test_runtime_error_exits_3(tiny_cfg, tmp_path, monkeypatch, capsys):
     def broken(*a, **k):
         raise RuntimeError("reference self-check failed")

@@ -64,14 +64,12 @@ def test_convergence_study_per_method_stepsizes():
     cfg = RunConfig(**TINY)
     study = convergence_study(cfg, ["cf2+strang", "cf4+rkn74"],
                               {"cf2+strang": [0.25, 0.125],
-                               "cf4+rkn74": [0.5, 0.25]},
-                              self_check=False)
-    assert math.isnan(study.self_check_distance)
+                               "cf4+rkn74": [0.5, 0.25]})
+    assert study.self_check_distance < 1e-9
     assert len(study.rows) == 4
     assert study.errors_for("cf4+rkn74")[0] == [0.25, 0.5]
     with pytest.raises(ValueError, match="cover exactly"):
-        convergence_study(cfg, ["cf2+strang"], {"cf4+rkn74": [0.25]},
-                          self_check=False)
+        convergence_study(cfg, ["cf2+strang"], {"cf4+rkn74": [0.25]})
 
 
 def test_convergence_study_keeps_diverged_rows(tmp_path, monkeypatch):
@@ -86,7 +84,7 @@ def test_convergence_study_keeps_diverged_rows(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "evolve", exploding)
     csv_path = str(tmp_path / "div.csv")
     study = convergence_study(cfg, ["cf2+strang"], [0.25, 0.125],
-                              csv_path=csv_path, self_check=False)
+                              csv_path=csv_path)
     bad = [r for r in study.rows if r.diverged]
     assert len(bad) == 1 and bad[0].n_steps == 8
     assert math.isinf(bad[0].l2_error) and bad[0].transform_pairs == 0
@@ -96,6 +94,19 @@ def test_convergence_study_keeps_diverged_rows(tmp_path, monkeypatch):
     with open(csv_path, newline="") as fh:
         recorded = [r[3] for r in csv.reader(fh)][1:]
     assert "inf" in recorded
+
+
+def test_studies_check_methods_before_any_run(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "evolve", lambda *a, **k: calls.append(a))
+    cfg = RunConfig(**TINY)
+    with pytest.raises(ValueError, match="unknown method"):
+        convergence_study(cfg, ["cf2+strang", "cf9+magic"], [0.25, 0.125])
+    with pytest.raises(ValueError, match="no methods"):
+        convergence_study(cfg, [], [0.25, 0.125])
+    with pytest.raises(ValueError, match="unknown method"):
+        self_convergence(cfg, "cf9+magic", [0.5, 0.25, 0.125, 0.0625])
+    assert calls == []
 
 
 def test_errors_for_unknown_method_is_empty():

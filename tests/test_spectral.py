@@ -1,10 +1,11 @@
-"""Grid, transform bookkeeping, and field I/O."""
+"""Grid, kinetic flow, and field I/O."""
+
+import struct
 
 import numpy as np
 import pytest
 
-from rgpe.spectral import (Field, Grid, kinetic_flow, read_field,
-                           transform_pairs, write_field)
+from rgpe.spectral import Field, Grid, kinetic_flow, read_field, write_field
 
 
 def test_spacing_is_exact():
@@ -102,17 +103,6 @@ def test_kinetic_flow_coefficient_scales_time(rng):
                                kinetic_flow(grid, v, 0.2), atol=1e-14)
 
 
-def test_transform_counter_counts_pairs(rng):
-    grid = Grid(2, (1.0, 1.0), (8, 8))
-    v = _random_field(grid, rng)
-    before_thread = transform_pairs.thread_count
-    before_total = transform_pairs.total
-    for _ in range(3):
-        v = kinetic_flow(grid, v, 0.1)
-    assert transform_pairs.thread_count - before_thread == 3
-    assert transform_pairs.total - before_total == 3
-
-
 def test_field_copy_is_independent():
     grid = Grid(1, (1.0,), (4,))
     f = Field(grid, np.ones(4, dtype=complex), time=1.5)
@@ -174,3 +164,15 @@ def test_field_dump_rejects_corruption(tmp_path, rng):
             path.write_bytes(raw[:cut])
             with pytest.raises(ValueError, match="bad magic|corrupt dump"):
                 read_field(path)
+
+    # size fields whose payload would overflow a read are rejected before it
+    for grid, sizes in ((Grid(2, (1.0, 2.0), (4, 4)), (2 ** 31, 2 ** 31)),
+                        (Grid(3, (1.0,) * 3, (4,) * 3),
+                         (2 ** 20, 2 ** 20, 2 ** 19))):
+        write_field(Field(grid, _random_field(grid, rng)), path)
+        raw = path.read_bytes()
+        head = 12 + 4 * grid.dim
+        path.write_bytes(raw[:12] + struct.pack(f"<{grid.dim}I", *sizes)
+                         + raw[head:])
+        with pytest.raises(ValueError, match="corrupt dump"):
+            read_field(path)

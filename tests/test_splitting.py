@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from rgpe.model import Trap, TrapOnGrid, gaussian_state
 from rgpe.spectral import Grid, kinetic_flow
@@ -75,23 +76,23 @@ def test_strang_with_zero_potential_is_pure_kinetic(rng):
                                atol=1e-13)
 
 
-def test_apply_splitting_accepts_explicit_tables(rng):
-    vals = _state(rng)
-    pot = rng.standard_normal(GRID.sizes)
-    named = apply_splitting(GRID, vals, "strang", 0.2, pot, 0.7, 1.0)
-    explicit = apply_splitting(GRID, vals, splitting_pairs("strang"), 0.2,
-                               pot, 0.7, 1.0)
-    np.testing.assert_array_equal(named, explicit)
+def test_splitting_counts_transform_pairs(rng, monkeypatch):
+    # count the transforms scipy really runs
+    calls = []
+    for fn in ("fftn", "ifftn"):
+        real = getattr(scipy.fft, fn)
 
+        def counted(*a, _real=real, _fn=fn, **k):
+            calls.append(_fn)
+            return _real(*a, **k)
 
-def test_splitting_counts_transform_pairs(rng):
-    from rgpe.spectral import transform_pairs
+        monkeypatch.setattr(scipy.fft, fn, counted)
     vals = _state(rng)
     pot = rng.standard_normal(GRID.sizes)
     for name, pairs in (("strang", 2), ("rkn74", 7), ("rkn116", 11)):
-        before = transform_pairs.thread_count
+        calls.clear()
         apply_splitting(GRID, vals, name, 0.1, pot)
-        assert transform_pairs.thread_count - before == pairs
+        assert calls.count("fftn") == calls.count("ifftn") == pairs
 
 
 def test_strang_local_error_is_third_order():
