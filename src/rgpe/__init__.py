@@ -10,8 +10,8 @@ realized by a kinetic/potential splitting with exact unitary sub-flows.
 from .config import RunConfig, parse_config
 from .integrators import (DivergenceError, EvolveResult, METHODS, evolve,
                           make_stepper, method_order, pairs_per_step)
-from .model import (Trap, TrapOnGrid, gaussian_state, modified_potential,
-                    nonlinearity, vortex_state)
+from .model import (Trap, TrapOnGrid, gaussian_state, nonlinearity,
+                    vortex_state)
 from .oracle import classical_transform_check, dense_reference, observed_order
 from .spectral import Field, Grid, kinetic_flow, read_field, write_field
 from .splitting import SPLITTINGS, apply_splitting, potential_flow
@@ -22,8 +22,7 @@ __all__ = [
     "RunConfig", "parse_config",
     "DivergenceError", "EvolveResult", "METHODS", "evolve", "make_stepper",
     "method_order", "pairs_per_step",
-    "Trap", "TrapOnGrid", "gaussian_state", "modified_potential",
-    "nonlinearity", "vortex_state",
+    "Trap", "TrapOnGrid", "gaussian_state", "nonlinearity", "vortex_state",
     "classical_transform_check", "dense_reference", "observed_order",
     "Field", "Grid", "kinetic_flow", "read_field", "write_field",
     "SPLITTINGS", "apply_splitting", "potential_flow",

@@ -196,7 +196,7 @@ def cmd_oracle_check(args):
 
     print("classical two-frame consistency:")
     trap = Trap((0.8, 1.2), 0.5)
-    dev, energy = oracle.classical_transform_check(trap, with_energy=True)
+    dev, energy = oracle.classical_transform_check(trap)
     _check_line("trajectory deviation", dev, 1e-8, results)
     _check_line("matched-state energy mismatch", energy, 1e-8, results)
 

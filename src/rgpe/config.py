@@ -59,6 +59,11 @@ class RunConfig:
             if not all(map(math.isfinite, val if key in _LIST_KEYS
                            else (val,))):
                 raise ValueError(f"{key} must be finite, got {val}")
+        for key in ("gammas", "gaussian_weights"):
+            # the trap and the Gaussian start state square these values
+            if not all(math.isfinite(v * v) for v in getattr(self, key)):
+                raise ValueError(f"{key} must have finite squares, "
+                                 f"got {getattr(self, key)}")
         for key in ("half_widths", "sizes", "gammas"):
             if len(getattr(self, key)) != self.dim:
                 raise ValueError(f"{key} must list one value per dimension "

@@ -1,4 +1,4 @@
-"""Convergence studies, self-convergence, and lab-frame resampling.
+"""Convergence studies and self-convergence.
 
 Errors are absolute discrete L2 errors at the final time against a refined
 reference computed once per study, and every study checks that reference
@@ -16,14 +16,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from .integrators import DivergenceError, evolve, method_order
-from .spectral import Field
 
 __all__ = ["ConvergenceRow", "StudyResult", "check_methods",
-           "convergence_study", "self_convergence", "rotate_to_lab",
-           "write_rows", "CSV_HEADER"]
+           "convergence_study", "self_convergence", "write_rows",
+           "CSV_HEADER"]
 
 log = logging.getLogger(__name__)
 
@@ -204,27 +201,3 @@ def write_rows(rows, path):
             writer.writerow([r.method, repr(r.h), r.n_steps,
                              repr(r.l2_error), r.transform_pairs,
                              f"{r.wall_ms:.3f}"])
-
-
-def rotate_to_lab(field, trap):
-    """Resample a rotating-frame field at laboratory grid positions.
-
-    The state itself lives in rotating coordinates; for display the value at
-    laboratory point x is the field at R(t)^T x, fetched by bilinear
-    interpolation on the periodic grid.
-    """
-    from scipy.ndimage import map_coordinates
-
-    if field.grid.dim != 2:
-        raise ValueError("lab-frame resampling is 2-D only")
-    grid = field.grid
-    R = trap.rotation_matrix(field.time)
-    x1, x2 = np.meshgrid(*grid.axes, indexing="ij")
-    xi1 = R[0, 0] * x1 + R[1, 0] * x2
-    xi2 = R[0, 1] * x1 + R[1, 1] * x2
-    idx = [(xi1 + grid.half_widths[0]) / grid.spacings[0],
-           (xi2 + grid.half_widths[1]) / grid.spacings[1]]
-    re = map_coordinates(field.values.real, idx, order=1, mode="grid-wrap")
-    im = map_coordinates(field.values.imag, idx, order=1, mode="grid-wrap")
-    return Field(grid, re + 1j * im, field.time, "lab")
-

@@ -39,9 +39,11 @@ def _cf(table, nodes, order):
 # outer scheme -> (nodes, order, stages); a stage is (tau fraction, node
 # weights, kinetic weight b, gradient-corrected?).  A stage with b = 0 is a
 # pure phase, and a corrected stage adds BBK_WTILDE_COEF h^2 times
-# |grad(W(., t_last) - W(., t_first))|^2 to its potential.  The bbk kinetic
-# weights are the exact 0 and 1 its weights sum to; fsum gives 6.9e-18 and
-# 1 - 1.1e-16, which would change the results.
+# |grad(W(., t_last) - W(., t_first))|^2 to its potential.  That field is
+# O(h^2), since the outer node times merge as h -> 0, and exactly zero for a
+# trap isotropic in the rotation plane.  The bbk kinetic weights are the
+# exact 0 and 1 its weights sum to; fsum gives 6.9e-18 and 1 - 1.1e-16, which
+# would change the results.
 _A1, _A2 = _tables.BBK_A1, _tables.BBK_A2
 OUTER_SCHEMES = {
     "cf2": _cf(_tables.CF2_A, _tables.GAUSS1_NODES, 2),

@@ -3,16 +3,15 @@
 In the co-rotating coordinates the Laplacian keeps its form and the only
 time dependence left is the trap, evaluated at the back-rotated position.
 Because the trap is quadratic, the rotated potential stays a quadratic form
-with time-dependent coefficients; both it and its gradient are evaluated
-here in closed form on cached coordinate monomials.
+with time-dependent coefficients; it is evaluated here in closed form on
+cached coordinate monomials, and so is the squared gradient difference the
+gradient correction needs.
 """
 
 import numpy as np
 
-from . import _tables
-
-__all__ = ["Trap", "TrapOnGrid", "nonlinearity", "modified_potential",
-           "gaussian_state", "vortex_state"]
+__all__ = ["Trap", "TrapOnGrid", "nonlinearity", "gaussian_state",
+           "vortex_state"]
 
 
 def nonlinearity(density, theta):
@@ -31,8 +30,10 @@ class Trap:
         gammas = tuple(float(g) for g in gammas)
         if len(gammas) not in (2, 3):
             raise ValueError("gammas must have length 2 or 3")
-        if not all(0 < g < np.inf for g in gammas):
-            raise ValueError("trap frequencies must be positive and finite")
+        # the coefficients square the frequencies, so the squares must be finite
+        if not all(0 < g and g * g < np.inf for g in gammas):
+            raise ValueError("trap frequencies must be positive, with finite "
+                             "squares")
         rotation_rate = float(rotation_rate)
         if not np.isfinite(rotation_rate):
             raise ValueError(f"rotation rate must be finite, "
@@ -75,16 +76,9 @@ class Trap:
 
     def gradient_coefficients(self, t):
         """Entries (a11, a22, a12[, a33]) of the symmetric matrix A(t) with
-        grad W(xi, t) = A(t) xi."""
-        g1s, g2s = self.gammas[0] ** 2, self.gammas[1] ** 2
-        w = self.angle(t)
-        c, s = np.cos(w), np.sin(w)
-        a11 = g1s * c * c + g2s * s * s
-        a22 = g1s * s * s + g2s * c * c
-        a12 = (g1s - g2s) * s * c
-        if self.dim == 2:
-            return (a11, a22, a12)
-        return (a11, a22, a12, self.gammas[2] ** 2)
+        grad W(xi, t) = A(t) xi, i.e. (2 c11, 2 c22, c12[, 2 c33])."""
+        c11, c22, c12, *c33 = self.quad_coefficients(t)
+        return (2.0 * c11, 2.0 * c22, c12) + tuple(2.0 * c for c in c33)
 
 
 class TrapOnGrid:
@@ -104,14 +98,6 @@ class TrapOnGrid:
         self._m33 = (np.broadcast_to(xs[2] * xs[2], grid.sizes)
                      if grid.dim == 3 else None)
 
-    def values(self, t):
-        """The rotated trap W(., t) on the grid."""
-        c = self.trap.quad_coefficients(t)
-        W = c[0] * self._m11 + c[1] * self._m22 + c[2] * self._m12
-        if self._m33 is not None:
-            W = W + c[3] * self._m33
-        return W
-
     def combination(self, weights, times):
         """sum_k weights[k] * W(., times[k]), done on the coefficients."""
         cs = [self.trap.quad_coefficients(t) for t in times]
@@ -121,17 +107,6 @@ class TrapOnGrid:
         if self._m33 is not None:
             W = W + acc[3] * self._m33
         return W
-
-    def gradient(self, t):
-        """Tuple of the d partial derivatives of W(., t), dense arrays."""
-        a = self.trap.gradient_coefficients(t)
-        x = self._x
-        sizes = self.grid.sizes
-        g1 = np.broadcast_to(a[0] * x[0] + a[2] * x[1], sizes)
-        g2 = np.broadcast_to(a[2] * x[0] + a[1] * x[1], sizes)
-        if self.grid.dim == 2:
-            return (g1, g2)
-        return (g1, g2, np.broadcast_to(a[3] * x[2], sizes))
 
     def gradient_difference_sq(self, t1, t0):
         """|grad(W(., t1) - W(., t0))|^2, used by the gradient correction.
@@ -152,20 +127,6 @@ class TrapOnGrid:
         D1 = d11 * x[0] + d12 * x[1]
         D2 = d12 * x[0] - d11 * x[1]
         return np.broadcast_to(D1 * D1 + D2 * D2, self.grid.sizes)
-
-
-def modified_potential(trap_grid, t0, h):
-    """Gradient-correction potential of the four-exponential scheme.
-
-    Wtilde = |grad(W(., t0 + c3 h) - W(., t0 + c1 h))|^2 / 25920 with c1, c3
-    the outer Gauss-Legendre nodes.  Pointwise nonnegative, O(h^2) as h -> 0
-    (the node times merge), and identically zero for an isotropic in-plane
-    trap.  The first and last stage phases of the scheme subtract h^2 times
-    this field from their node-combined potential.
-    """
-    c = _tables.GAUSS3_NODES
-    return trap_grid.gradient_difference_sq(t0 + c[2] * h,
-                                            t0 + c[0] * h) / 25920.0
 
 
 def gaussian_state(grid, widths):

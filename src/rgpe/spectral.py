@@ -25,11 +25,11 @@ _FRAME_NAMES = {v: k for k, v in _FRAME_CODES.items()}
 
 
 class Grid:
-    """Uniform periodic grid with cached kinetic phase factors."""
+    """Uniform periodic 2-D or 3-D grid with cached kinetic phase factors."""
 
     def __init__(self, dim, half_widths, sizes):
-        if dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+        if dim not in (2, 3):
+            raise ValueError(f"dim must be 2 or 3, got {dim}")
         if len(half_widths) != dim or len(sizes) != dim:
             raise ValueError("half_widths and sizes must have length dim")
         sizes = tuple(int(m) for m in sizes)
@@ -126,9 +126,6 @@ class Field:
         self.time = float(time)
         self.frame = frame
 
-    def copy(self):
-        return Field(self.grid, self.values.copy(), self.time, self.frame)
-
     def density(self):
         return np.abs(self.values) ** 2
 
@@ -172,7 +169,7 @@ def read_field(path):
         version, dim = _unpack(fh, "<II")
         if version != _VERSION:
             raise ValueError(f"unsupported dump version {version}")
-        if dim not in (1, 2, 3):
+        if dim not in (2, 3):
             raise ValueError(f"corrupt dump: dim = {dim}")
         sizes = _unpack(fh, f"<{dim}I")
         half_widths = _unpack(fh, f"<{dim}d")

@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from rgpe import oracle
+from rgpe import _tables, oracle
 from rgpe.config import RunConfig
 from rgpe.harness import convergence_study
 from rgpe.integrators import (METHODS, evolve, make_stepper, method_order,
                               pairs_per_step)
-from rgpe.model import (Trap, TrapOnGrid, gaussian_state, modified_potential,
-                        vortex_state)
+from rgpe.model import Trap, TrapOnGrid, gaussian_state, vortex_state
 from rgpe.oracle import (alpha_triple, classical_transform_check,
                          dense_reference, magnus_omega6,
                          magnus_omega6_modified, midpoint_reference,
@@ -276,9 +275,12 @@ def test_criterion_6_analytic_gradients(acceptance):
                         / max(float(np.linalg.norm(grad)), 1e-9))
     assert worst < 1e-6
 
-    # isotropic in-plane trap: the correction potential vanishes identically
+    # isotropic in-plane trap: the field the bbk stepper scales into its
+    # correction, taken between the outer Gauss nodes, vanishes identically
     tg = TrapOnGrid(Trap((1.1, 1.1), 0.7), Grid(2, (8.0, 8.0), (32, 32)))
-    flat = all(np.all(modified_potential(tg, t0, h) == 0.0)
+    c = _tables.GAUSS3_NODES
+    flat = all(np.all(tg.gradient_difference_sq(t0 + c[2] * h,
+                                                t0 + c[0] * h) == 0.0)
                for t0 in (0.0, 0.9, 2.3) for h in (0.5, 0.05))
     assert flat
     acceptance(6, True, "analytic gradients match central differences to "
@@ -287,8 +289,7 @@ def test_criterion_6_analytic_gradients(acceptance):
 
 
 def test_criterion_7_classical_two_frame_consistency(acceptance):
-    dev, energy = classical_transform_check(Trap((0.8, 1.2), 0.5),
-                                            with_energy=True)
+    dev, energy = classical_transform_check(Trap((0.8, 1.2), 0.5))
     assert dev < 1e-8
     assert energy < 1e-8
     acceptance(7, True, "classical trajectories agree between frames to "

@@ -77,16 +77,20 @@ def test_missing_config_exits_2(tmp_path):
     ("half_widths = inf, 10\n", "half_widths must be finite"),
     ("theta = 1\ntheta = 2\n", "syntax error"),
     ("theta\n", "syntax error"),
+    ("gammas = 1e200, 1.0\n", "gammas must have finite squares"),
+    ("gaussian_weights = 1e155, 1.0\n",
+     "gaussian_weights must have finite squares"),
 ], ids=["nan-theta", "inf-omega", "inf-half-width", "duplicate-key",
-        "no-equals"])
+        "no-equals", "overflowing-gamma", "overflowing-gaussian-weight"])
 def test_invalid_config_exits_2(tmp_path, capsys, text, match):
     p = tmp_path / "bad.cfg"
     p.write_text("[run]\n" + text)
-    assert main(["--config", str(p), "--out", str(tmp_path / "o"),
-                 "simulate"]) == 2
-    err = capsys.readouterr().err
-    assert match in err
+    for command in ("simulate", "converge"):
+        assert main(["--config", str(p), "--out", str(tmp_path / "o"),
+                     command]) == 2
+        assert match in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.field"))
+    assert not list(tmp_path.rglob("effective-config.cfg"))
 
 
 def test_simulate_withholds_dumps_on_norm_drift(tiny_cfg, tmp_path,

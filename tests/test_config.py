@@ -110,6 +110,9 @@ def test_with_overrides_ignores_none():
     (dict(half_widths=(float("inf"), 10.0)), "half_widths must be finite"),
     (dict(gammas=(0.8, float("nan"))), "gammas must be finite"),
     (dict(t0=float("-inf")), "t0 must be finite"),
+    (dict(gammas=(1e200, 1.0)), "gammas must have finite squares"),
+    (dict(gaussian_weights=(1e155, 1.0)),
+     "gaussian_weights must have finite squares"),
 ])
 def test_validate_rejects(kw, match):
     with pytest.raises(ValueError, match=match):

@@ -1,21 +1,19 @@
-"""Convergence studies, CSV output, snapshot dumps, and lab-frame resampling."""
+"""Convergence studies, CSV output and snapshot dumps."""
 
 import csv
 import math
 
-import numpy as np
 import pytest
 
 import rgpe.harness as harness
 from rgpe.cli import main
 from rgpe.config import RunConfig
 from rgpe.harness import (CSV_HEADER, ConvergenceRow, StudyResult,
-                          _steps_for, convergence_study, rotate_to_lab,
-                          self_convergence, write_rows)
+                          _steps_for, convergence_study, self_convergence,
+                          write_rows)
 from rgpe.integrators import DivergenceError, pairs_per_step
-from rgpe.model import Trap, gaussian_state
 from rgpe.oracle import observed_order
-from rgpe.spectral import Field, Grid, read_field
+from rgpe.spectral import read_field
 
 TINY = dict(half_widths=(3.5, 3.5), sizes=(8, 8), theta=0.0, t_final=1.0,
             reference_factor=5, reference_method="bbk+rkn116", seed=7)
@@ -160,20 +158,4 @@ def test_vortex_run_writes_snapshots(tmp_path):
     assert back.time == pytest.approx(0.5)
     assert back.frame == "rotating"
     assert back.density().shape == (32, 32)
-
-
-def test_rotate_to_lab_identity_at_start():
-    grid = Grid(2, (8.0, 8.0), (32, 32))
-    vals = gaussian_state(grid, (1.1, 0.9))
-    field = Field(grid, vals, 0.0, "rotating")
-    lab = rotate_to_lab(field, Trap((0.8, 1.2), 0.5))
-    assert lab.frame == "lab"
-    np.testing.assert_allclose(lab.values, vals, atol=1e-14)
-
-
-def test_rotate_to_lab_rejects_3d():
-    grid = Grid(3, (4.0,) * 3, (8,) * 3)
-    field = Field(grid, np.ones(grid.sizes, complex), 0.0, "rotating")
-    with pytest.raises(ValueError, match="2-D"):
-        rotate_to_lab(field, Trap((0.8, 1.2, 1.0), 0.5))
 

@@ -11,7 +11,7 @@ from rgpe import _tables
 from rgpe.integrators import (METHODS, DivergenceError, evolve,
                               make_stepper, method_checksum, method_order,
                               pairs_per_step)
-from rgpe.model import Trap, TrapOnGrid, gaussian_state, modified_potential
+from rgpe.model import Trap, TrapOnGrid, gaussian_state
 from rgpe.oracle import dense_kinetic
 from rgpe.spectral import Field, Grid
 from rgpe.splitting import apply_splitting
@@ -99,7 +99,8 @@ def test_cf2_stage_uses_midpoint_potential():
     t, h = 0.3, 0.05
     out = make_stepper("cf2+strang", tg, 1.0)(vals, t, h)
     expected = apply_splitting(SMALL, vals, "strang", h,
-                               tg.values(t + 0.5 * h), 1.0, 1.0)
+                               tg.combination((1.0,), (t + 0.5 * h,)),
+                               1.0, 1.0)
     np.testing.assert_allclose(out, expected, atol=1e-15)
 
 
@@ -107,9 +108,11 @@ def test_gradient_correction_matches_modified_potential():
     tg = TrapOnGrid(TRAP, SMALL)
     t0, h = 0.3, 0.05
     c = _tables.GAUSS3_NODES
-    corr = (_tables.BBK_WTILDE_COEF * h * h) * \
-        tg.gradient_difference_sq(t0 + c[2] * h, t0 + c[0] * h)
-    np.testing.assert_allclose(corr, -h * h * modified_potential(tg, t0, h),
+    # the paper's modified potential is this field over 25920; the scheme
+    # subtracts h^2 times it
+    field = tg.gradient_difference_sq(t0 + c[2] * h, t0 + c[0] * h)
+    corr = (_tables.BBK_WTILDE_COEF * h * h) * field
+    np.testing.assert_allclose(corr, -h * h * field / 25920.0,
                                rtol=1e-12, atol=0)
 
 

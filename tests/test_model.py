@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from rgpe.model import (Trap, TrapOnGrid, gaussian_state, modified_potential,
-                        nonlinearity, vortex_state)
+from rgpe import _tables
+from rgpe.model import (Trap, TrapOnGrid, gaussian_state, nonlinearity,
+                        vortex_state)
 from rgpe.oracle import potential_direct
 from rgpe.spectral import Grid
 
 TRAP = Trap((0.8, 1.2), 0.5)
 GRID = Grid(2, (10.0, 10.0), (64, 64))
+PTS = np.stack(np.meshgrid(*GRID.axes, indexing="ij"), axis=-1)
 
 
 def test_nonlinearity_is_cubic():
@@ -28,6 +30,8 @@ def test_trap_validation():
         Trap((0.8, float("inf")), 0.5)
     with pytest.raises(ValueError):
         Trap((0.8, float("nan")), 0.5)
+    with pytest.raises(ValueError):
+        Trap((1e200, 1.2), 0.5)           # the square overflows
     with pytest.raises(ValueError):
         Trap((0.8, 1.2), float("inf"))
 
@@ -113,11 +117,9 @@ def test_axial_gradient_example():
 
 def test_trap_on_grid_values_match_direct():
     tg = TrapOnGrid(TRAP, GRID)
-    pts = np.stack(np.meshgrid(*GRID.axes, indexing="ij"),
-                   axis=-1).reshape(-1, 2)
     for t in (0.0, 1.3):
-        np.testing.assert_allclose(tg.values(t).reshape(-1),
-                                   potential_direct(TRAP, pts, t),
+        np.testing.assert_allclose(tg.combination((1.0,), (t,)),
+                                   potential_direct(TRAP, PTS, t),
                                    atol=1e-12)
 
 
@@ -125,7 +127,8 @@ def test_combination_is_weighted_sum(rng):
     tg = TrapOnGrid(TRAP, GRID)
     weights = rng.standard_normal(3)
     times = [0.1, 0.9, 2.2]
-    expected = sum(w * tg.values(t) for w, t in zip(weights, times))
+    expected = sum(w * potential_direct(TRAP, PTS, t)
+                   for w, t in zip(weights, times))
     np.testing.assert_allclose(tg.combination(weights, times), expected,
                                atol=1e-12)
 
@@ -135,8 +138,13 @@ def test_gradient_difference_sq_properties():
     # exact zero when the two times coincide
     assert np.all(tg.gradient_difference_sq(1.3, 1.3) == 0.0)
     # pointwise equals |grad W(t1) - grad W(t0)|^2
-    g1, g0 = tg.gradient(1.1), tg.gradient(0.4)
-    expected = sum((a - b) ** 2 for a, b in zip(g1, g0))
+    x = GRID.coordinates()
+
+    def grad(t):
+        a = TRAP.gradient_coefficients(t)
+        return (a[0] * x[0] + a[2] * x[1], a[2] * x[0] + a[1] * x[1])
+
+    expected = sum((a - b) ** 2 for a, b in zip(grad(1.1), grad(0.4)))
     np.testing.assert_allclose(tg.gradient_difference_sq(1.1, 0.4), expected,
                                atol=1e-12)
 
@@ -146,11 +154,18 @@ def test_gradient_difference_sq_isotropic_is_zero():
     assert np.all(tg.gradient_difference_sq(2.0, 0.5) == 0.0)
 
 
+def _outer_node_difference(tg, t0, h):
+    """The field the bbk correction scales: the gradient difference
+    between the outer Gauss nodes of the step [t0, t0 + h]."""
+    c = _tables.GAUSS3_NODES
+    return tg.gradient_difference_sq(t0 + c[2] * h, t0 + c[0] * h)
+
+
 def test_modified_potential_shrinks_quadratically():
     tg = TrapOnGrid(TRAP, GRID)
     t0 = 0.3
-    w1 = modified_potential(tg, t0, 0.2)
-    w2 = modified_potential(tg, t0, 0.1)
+    w1 = _outer_node_difference(tg, t0, 0.2)
+    w2 = _outer_node_difference(tg, t0, 0.1)
     assert np.all(w1 >= 0.0)
     ratio = w1.max() / w2.max()
     assert ratio == pytest.approx(4.0, rel=0.05)
@@ -158,7 +173,7 @@ def test_modified_potential_shrinks_quadratically():
 
 def test_modified_potential_isotropic_is_zero():
     tg = TrapOnGrid(Trap((1.1, 1.1), 0.7), GRID)
-    assert np.all(modified_potential(tg, 0.0, 0.25) == 0.0)
+    assert np.all(_outer_node_difference(tg, 0.0, 0.25) == 0.0)
 
 
 def test_gaussian_state_norm_via_quadrature():

@@ -157,13 +157,13 @@ def test_observed_order_window_and_floor():
 
 
 def test_classical_check_trivial_without_rotation():
-    assert classical_transform_check(Trap((0.8, 1.2), 0.0), t_final=1.0,
-                                     step=1e-3) < 1e-15
+    dev, _ = classical_transform_check(Trap((0.8, 1.2), 0.0), t_final=1.0,
+                                       step=1e-3)
+    assert dev < 1e-15
 
 
 def test_classical_check_short_run():
-    dev, energy = classical_transform_check(TRAP, t_final=1.0, step=2e-4,
-                                            with_energy=True)
+    dev, energy = classical_transform_check(TRAP, t_final=1.0, step=2e-4)
     assert dev < 1e-8
     assert energy < 1e-10
 

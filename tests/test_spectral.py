@@ -22,8 +22,9 @@ def test_wavenumber_ordering_matches_fft_layout():
 
 
 def test_axes_cover_half_open_box():
-    grid = Grid(1, (2.0,), (8,))
+    grid = Grid(2, (2.0, 3.0), (8, 4))
     np.testing.assert_allclose(grid.axes[0], -2.0 + 0.5 * np.arange(8))
+    np.testing.assert_allclose(grid.axes[1], -3.0 + 1.5 * np.arange(4))
 
 
 def test_l2_norm_of_ones():
@@ -44,6 +45,8 @@ def test_grid_validation():
         Grid(2, (float("inf"), 1.0), (4, 4))  # infinite extent
     with pytest.raises(ValueError):
         Grid(2, (float("nan"), 1.0), (4, 4))  # undefined extent
+    with pytest.raises(ValueError):
+        Grid(1, (1.0,), (4,))              # unsupported dimension
     with pytest.raises(ValueError):
         Grid(4, (1.0,) * 4, (4,) * 4)      # unsupported dimension
 
@@ -97,32 +100,23 @@ def test_kinetic_flow_plane_wave_phase():
 
 
 def test_kinetic_flow_coefficient_scales_time(rng):
-    grid = Grid(1, (3.0,), (16,))
+    grid = Grid(2, (3.0, 3.0), (16, 16))
     v = _random_field(grid, rng)
     np.testing.assert_allclose(kinetic_flow(grid, v, 0.4, b=0.5),
                                kinetic_flow(grid, v, 0.2), atol=1e-14)
 
 
-def test_field_copy_is_independent():
-    grid = Grid(1, (1.0,), (4,))
-    f = Field(grid, np.ones(4, dtype=complex), time=1.5)
-    g = f.copy()
-    g.values[0] = 0.0
-    assert f.values[0] == 1.0
-    assert g.time == 1.5 and g.frame == f.frame
-
-
 def test_field_density_and_norm():
-    grid = Grid(1, (1.0,), (4,))
-    f = Field(grid, np.full(4, 1j))
-    np.testing.assert_array_equal(f.density(), np.ones(4))
-    assert f.norm() == pytest.approx(np.sqrt(2.0))
+    grid = Grid(2, (1.0, 1.0), (4, 4))
+    f = Field(grid, np.full((4, 4), 1j))
+    np.testing.assert_array_equal(f.density(), np.ones((4, 4)))
+    assert f.norm() == pytest.approx(2.0)
 
 
 def test_field_frame_validation():
-    grid = Grid(1, (1.0,), (4,))
+    grid = Grid(2, (1.0, 1.0), (4, 4))
     with pytest.raises(ValueError):
-        Field(grid, np.zeros(4, dtype=complex), frame="galactic")
+        Field(grid, np.zeros((4, 4), dtype=complex), frame="galactic")
 
 
 def test_field_dump_roundtrip(tmp_path, rng):
@@ -138,7 +132,7 @@ def test_field_dump_roundtrip(tmp_path, rng):
 
 
 def test_field_dump_rejects_corruption(tmp_path, rng):
-    grid = Grid(1, (1.0,), (8,))
+    grid = Grid(2, (1.0, 2.0), (4, 8))
     f = Field(grid, _random_field(grid, rng))
     path = tmp_path / "state.field"
     write_field(f, path)
@@ -156,8 +150,14 @@ def test_field_dump_rejects_corruption(tmp_path, rng):
     with pytest.raises(ValueError):
         read_field(tmp_path / "long.field")
 
+    # grids are 2-D or 3-D, so a 1-D header is corrupt
+    (tmp_path / "dim1.field").write_bytes(raw[:8] + struct.pack("<I", 1)
+                                          + raw[12:])
+    with pytest.raises(ValueError, match="corrupt dump: dim = 1"):
+        read_field(tmp_path / "dim1.field")
+
     # a dump cut at any byte offset, header or payload, is rejected
-    for grid in (grid, Grid(2, (1.0, 2.0), (4, 4))):
+    for grid in (grid, Grid(3, (1.0, 2.0, 3.0), (4, 4, 4))):
         write_field(Field(grid, _random_field(grid, rng)), path)
         raw = path.read_bytes()
         for cut in range(len(raw)):

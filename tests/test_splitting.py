@@ -97,7 +97,7 @@ def test_splitting_counts_transform_pairs(rng, monkeypatch):
 
 def test_strang_local_error_is_third_order():
     trap = TrapOnGrid(Trap((0.8, 1.2), 0.5), GRID)
-    pot = trap.values(0.0)
+    pot = trap.combination((1.0,), (0.0,))
     vals = gaussian_state(GRID, (1.1, 0.9))
 
     def err(tau):
@@ -115,7 +115,7 @@ def test_strang_local_error_is_third_order():
 def test_splitting_is_time_reversible(name, rng):
     # palindromic tables + exact subflows: the -tau application inverts +tau
     trap = TrapOnGrid(Trap((0.8, 1.2), 0.5), GRID)
-    pot = trap.values(0.7)
+    pot = trap.combination((1.0,), (0.7,))
     vals = gaussian_state(GRID, (1.1, 0.9))
     for theta in (0.0, 1.0):
         fwd = apply_splitting(GRID, vals, name, 0.05, pot, 1.0, theta)
