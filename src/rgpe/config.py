@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields, replace
 
 from .integrators import method_order
 from .model import Trap, gaussian_state, vortex_state
-from .spectral import Field, Grid
+from .spectral import Field, Grid, check_spacings
 
 __all__ = ["RunConfig", "parse_config", "write_config", "config_text"]
 
@@ -68,6 +68,11 @@ class RunConfig:
             if len(getattr(self, key)) != self.dim:
                 raise ValueError(f"{key} must list one value per dimension "
                                  f"(dim = {self.dim})")
+        if any(m < 4 or m % 2 for m in self.sizes):
+            raise ValueError(f"grid sizes must be even and >= 4, "
+                             f"got {self.sizes}")
+        check_spacings(tuple(2.0 * L / m
+                             for L, m in zip(self.half_widths, self.sizes)))
         if self.initial_state == "gaussian":
             if len(self.gaussian_weights) != self.dim:
                 raise ValueError("gaussian_weights must list one value per "

@@ -20,11 +20,13 @@ import hashlib
 import math
 from dataclasses import dataclass, field as dataclass_field
 
+import numpy as np
+
 from . import _tables
 from .model import TrapOnGrid
 from .spectral import Field
 from .splitting import SPLIT_ORDERS, SPLITTINGS, apply_splitting, \
-    potential_flow, splitting_pairs
+    potential_flow, splitting_pairs, workspace
 
 __all__ = ["METHODS", "OUTER_SCHEMES", "method_order", "pairs_per_step",
            "method_checksum", "make_stepper", "evolve", "EvolveResult",
@@ -94,13 +96,21 @@ def method_checksum(method):
 
 
 def make_stepper(method, trap_grid, theta):
-    """Return step(values, t, h) -> values advancing one step from time t."""
+    """Return step(values, t, h) -> values advancing one step from time t.
+
+    The stepper owns the scratch arrays its kernels run in, so it belongs
+    to one thread.  Each step copies its input once and works on the copy
+    in place: the caller's array is never written, and every returned state
+    is a fresh array.
+    """
     (nodes, _, stages), inner = _parse(method)
     grid = trap_grid.grid
     theta = float(theta)
     corrected = any(corrects for *_, corrects in stages)
+    work = workspace(grid.sizes, inner, theta)
 
     def step(values, t, h):
+        values = np.array(values, dtype=np.complex128)
         times = [t + c * h for c in nodes]
         if corrected:
             corr = (_tables.BBK_WTILDE_COEF * h * h) * \
@@ -111,9 +121,9 @@ def make_stepper(method, trap_grid, theta):
                 P = P + corr
             if b:
                 values = apply_splitting(grid, values, inner, frac * h, P, b,
-                                         b * theta)
+                                         b * theta, work)
             else:
-                values = potential_flow(values, frac * h, P)
+                values = potential_flow(values, frac * h, P, work=work)
         return values
 
     return step
@@ -178,7 +188,7 @@ def evolve(start, trap, theta, method, t_final, n_steps, snapshot_times=()):
 
     trap_grid = TrapOnGrid(trap, grid)
     stepper = make_stepper(method, trap_grid, theta)
-    values = start.values.copy()
+    values = start.values
     norm0 = grid.l2_norm(values)
 
     snapshots = []

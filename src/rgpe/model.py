@@ -14,9 +14,9 @@ __all__ = ["Trap", "TrapOnGrid", "nonlinearity", "gaussian_state",
            "vortex_state"]
 
 
-def nonlinearity(density, theta):
+def nonlinearity(density, theta, out=None):
     """Pointwise nonlinear potential; cubic, so simply theta * |phi|^2."""
-    return theta * density
+    return np.multiply(theta, density, out=out)
 
 
 class Trap:

@@ -16,7 +16,8 @@ import struct
 import numpy as np
 from scipy import fft as _fft
 
-__all__ = ["Grid", "Field", "kinetic_flow", "write_field", "read_field"]
+__all__ = ["Grid", "Field", "check_spacings", "kinetic_flow", "write_field",
+           "read_field"]
 
 _MAGIC = b"RGPE"
 _VERSION = 1
@@ -25,7 +26,14 @@ _FRAME_NAMES = {v: k for k, v in _FRAME_CODES.items()}
 
 
 class Grid:
-    """Uniform periodic 2-D or 3-D grid with cached kinetic phase factors."""
+    """Uniform periodic 2-D or 3-D grid with memoized kinetic phase factors.
+
+    |k|^2 is kept as two small broadcastable pieces, the first axis as a
+    column of shape (M1, 1[, 1]) and the trailing axes as a block of shape
+    (1, M2[, M3]), so no full-size array is stored.  The spacing 2L/M must be
+    finite and positive and the largest |k|^2, sum_l (pi M_l / 2 L_l)^2,
+    finite.
+    """
 
     def __init__(self, dim, half_widths, sizes):
         if dim not in (2, 3):
@@ -36,16 +44,13 @@ class Grid:
         for m in sizes:
             if m < 4 or m % 2:
                 raise ValueError(f"grid sizes must be even and >= 4, got {m}")
-        for L in half_widths:
-            if not 0 < float(L) < np.inf:
-                raise ValueError("half_widths must be positive and finite, "
-                                 f"got {L}")
         self.dim = dim
         self.sizes = sizes
         # fix the spacing first and re-derive the half width from it, so that
         # spacing * M/2 == half_width holds exactly in floating point
         self.spacings = tuple(2.0 * float(L) / m
                               for L, m in zip(half_widths, sizes))
+        check_spacings(self.spacings)
         self.half_widths = tuple(dx * (m // 2)
                                  for dx, m in zip(self.spacings, sizes))
         self.axes = tuple(-L + dx * np.arange(m)
@@ -54,13 +59,11 @@ class Grid:
         self.wavenumbers = tuple(
             (np.pi / L) * np.fft.fftfreq(m, 1.0 / m)
             for L, m in zip(self.half_widths, sizes))
-        ksq = np.zeros(sizes)
-        for ax, k in enumerate(self.wavenumbers):
-            shape = [1] * dim
-            shape[ax] = sizes[ax]
-            ksq = ksq + (k ** 2).reshape(shape)
-        self._ksq = ksq
-        self._phase_cache = {}
+        ksq = [k ** 2 for k in self.wavenumbers]
+        self._ksq_column = ksq[0].reshape((-1,) + (1,) * (dim - 1))
+        trailing = ksq[1] if dim == 2 else ksq[1][:, None] + ksq[2]
+        self._ksq_block = trailing.reshape((1,) + trailing.shape)
+        self._phase_memo = {}
 
     def __eq__(self, other):
         return (isinstance(other, Grid) and self.dim == other.dim
@@ -88,25 +91,47 @@ class Grid:
         return float(np.sqrt(self.cell_volume * np.vdot(values, values).real))
 
     def kinetic_phase(self, tau):
-        """exp(-i tau |k|^2 / 2), cached by the float value of tau."""
-        ph = self._phase_cache.get(tau)
-        if ph is None:
-            ph = np.exp((-0.5j * tau) * self._ksq)
-            if len(self._phase_cache) >= 64:
-                self._phase_cache.pop(next(iter(self._phase_cache)))
-            self._phase_cache[tau] = ph
-        return ph
+        """exp(-i tau |k|^2 / 2) as two broadcastable factors, the first
+        axis's column and the trailing axes' block, whose product is the
+        full phase.  The last 64 values of tau are memoized."""
+        factors = self._phase_memo.get(tau)
+        if factors is None:
+            factors = (np.exp((-0.5j * tau) * self._ksq_column),
+                       np.exp((-0.5j * tau) * self._ksq_block))
+            if len(self._phase_memo) >= 64:
+                self._phase_memo.pop(next(iter(self._phase_memo)))
+            self._phase_memo[tau] = factors
+        return factors
+
+
+def check_spacings(spacings):
+    """Reject grid spacings dx = 2L/M that are not finite and positive, or
+    whose largest |k|^2 = sum_l (pi / dx_l)^2 overflows."""
+    if not all(0 < dx < np.inf for dx in spacings):
+        raise ValueError(f"grid spacings 2L/M must be positive and finite, "
+                         f"got {spacings}")
+    kmax = [np.pi / dx for dx in spacings]
+    if not math.isfinite(sum(k * k for k in kmax)):
+        raise ValueError(f"grid spacings {spacings} are too fine: the "
+                         "largest |k|^2 overflows")
 
 
 def kinetic_flow(grid, values, tau, b=1.0):
     """Apply exp(i b tau Laplacian / 2), i.e. the free flow of -b Laplacian/2.
 
-    Costs exactly one transform pair.  ``b`` is the kinetic coefficient of
-    the current stage; negative values are legitimate (several schemes use
-    backward fractional steps).
+    Works in place: ``values``, a complex128 array, is overwritten with the
+    result and returned.  Costs exactly one transform pair.  ``b`` is the kinetic coefficient of the current stage; negative
+    values are legitimate (several schemes use backward fractional steps).
     """
-    ph = grid.kinetic_phase(b * tau)
-    return _fft.ifftn(_fft.fftn(values) * ph)
+    if values.dtype != np.complex128:
+        raise TypeError(f"kinetic_flow works in place on complex128 arrays, "
+                        f"got {values.dtype}")
+    # both transforms write into the memory of values
+    hat = _fft.fftn(values, overwrite_x=True)
+    for factor in grid.kinetic_phase(b * tau):
+        np.multiply(hat, factor, out=hat)
+    _fft.ifftn(hat, overwrite_x=True)
+    return values
 
 
 class Field:

@@ -15,8 +15,8 @@ from . import _tables
 from .model import nonlinearity
 from .spectral import kinetic_flow
 
-__all__ = ["SPLITTINGS", "SPLIT_ORDERS", "splitting_pairs", "potential_flow",
-           "apply_splitting"]
+__all__ = ["SPLITTINGS", "SPLIT_ORDERS", "splitting_pairs", "workspace",
+           "potential_flow", "apply_splitting"]
 
 SPLITTINGS = {
     "strang": (_tables.STRANG_ALPHA, _tables.STRANG_BETA),
@@ -34,32 +34,78 @@ def splitting_pairs(name):
                          f"available: {', '.join(sorted(SPLITTINGS))}") from None
 
 
-def potential_flow(values, tau, potential, theta=0.0):
+# per splitting, the workspace slot of each distinct nonzero potential weight
+_FACTOR_SLOTS = {
+    name: {b: 1 + j for j, b in enumerate(dict.fromkeys(b for b in betas
+                                                        if b))}
+    for name, (_, betas) in SPLITTINGS.items()}
+
+
+def workspace(shape, scheme=None, theta=0.0):
+    """Scratch arrays of ``shape`` for the potential flow: a real argument
+    buffer, then one complex factor buffer, or, for ``apply_splitting`` with
+    the splitting ``scheme`` at theta = 0, one per distinct nonzero potential
+    weight.  A workspace belongs to one thread."""
+    factors = len(_FACTOR_SLOTS[scheme]) if scheme and not theta else 1
+    return [np.empty(shape)] + [np.empty(shape, np.complex128)
+                                for _ in range(factors)]
+
+
+def potential_flow(values, tau, potential, theta=0.0, work=None):
     """Exact flow of i u_t = (P + theta |u|^2) u over tau.
 
     |u| is pointwise invariant, so freezing the density makes this exact,
-    not an approximation.
+    not an approximation.  Works in place: ``values`` is overwritten with the
+    result and returned.  ``work`` is a :func:`workspace`; its first two
+    buffers are used, and afterwards ``work[1]`` holds the phase factor
+    exp(-i tau (P + theta |u|^2)).  Without one, a workspace is allocated.
     """
+    if work is None:
+        work = workspace(values.shape)
+    arg, factor = work[0], work[1]
     if theta:
-        phase = potential + nonlinearity(values.real ** 2 + values.imag ** 2,
-                                         theta)
+        # |u|^2 into arg, with the factor's real part as scratch
+        np.square(values.real, out=arg)
+        np.add(arg, np.square(values.imag, out=factor.real), out=arg)
+        phase = np.add(potential, nonlinearity(arg, theta, out=arg), out=arg)
     else:
         phase = potential
-    return np.exp((-1j * tau) * phase) * values
+    np.multiply(-tau, phase, out=arg)
+    np.cos(arg, out=factor.real)
+    np.sin(arg, out=factor.imag)
+    # factor first: this order reproduces np.exp(...) * values bit for bit
+    return np.multiply(factor, values, out=values)
 
 
 def apply_splitting(grid, values, scheme, tau, potential, kinetic_coef=1.0,
-                    theta=0.0):
-    """Propagate values over tau with the named splitting.
+                    theta=0.0, work=None):
+    """Propagate values over tau with the named splitting, in place.
 
     ``potential`` is a real array on the grid; ``kinetic_coef`` scales the
     kinetic term (stages of the exponential integrators need fractional,
     sometimes negative, kinetic weights); ``theta`` is the cubic coefficient
     as seen by this stage, i.e. already scaled by the kinetic weight.
+    ``values`` is overwritten with the result and returned.  At theta = 0
+    the potential phase is fixed for the whole call, so each distinct
+    potential weight's factor is computed once, into its own buffer of
+    ``work`` (``workspace(shape, scheme, theta)``), and later visits only
+    multiply.  Without ``work``, a workspace is allocated.
     """
     alphas, betas = splitting_pairs(scheme)
+    slots = _FACTOR_SLOTS[scheme]
+    if work is None:
+        work = workspace(values.shape, scheme, theta)
+    done = set()
     for a, b in zip(alphas, betas):
         values = kinetic_flow(grid, values, a * tau, kinetic_coef)
-        if b:
-            values = potential_flow(values, b * tau, potential, theta)
+        if not b:
+            continue
+        if theta:
+            potential_flow(values, b * tau, potential, theta, work)
+        elif b in done:
+            np.multiply(work[slots[b]], values, out=values)
+        else:
+            potential_flow(values, b * tau, potential, 0.0,
+                           (work[0], work[slots[b]]))
+            done.add(b)
     return values

@@ -80,8 +80,13 @@ def test_missing_config_exits_2(tmp_path):
     ("gammas = 1e200, 1.0\n", "gammas must have finite squares"),
     ("gaussian_weights = 1e155, 1.0\n",
      "gaussian_weights must have finite squares"),
+    ("half_widths = 1e308, 10\nsizes = 8, 8\n",
+     "grid spacings 2L/M must be positive and finite"),
+    ("half_widths = 1e-300, 10\nsizes = 8, 8\n",
+     "largest |k|^2 overflows"),
 ], ids=["nan-theta", "inf-omega", "inf-half-width", "duplicate-key",
-        "no-equals", "overflowing-gamma", "overflowing-gaussian-weight"])
+        "no-equals", "overflowing-gamma", "overflowing-gaussian-weight",
+        "overflowing-spacing", "overflowing-wavenumber"])
 def test_invalid_config_exits_2(tmp_path, capsys, text, match):
     p = tmp_path / "bad.cfg"
     p.write_text("[run]\n" + text)

@@ -113,6 +113,11 @@ def test_with_overrides_ignores_none():
     (dict(gammas=(1e200, 1.0)), "gammas must have finite squares"),
     (dict(gaussian_weights=(1e155, 1.0)),
      "gaussian_weights must have finite squares"),
+    (dict(half_widths=(1e308, 10.0), sizes=(8, 8)),
+     "grid spacings 2L/M must be positive and finite"),
+    (dict(half_widths=(1e-300, 10.0), sizes=(8, 8)),
+     r"largest \|k\|\^2 overflows"),
+    (dict(sizes=(8, 5)), "grid sizes must be even"),
 ])
 def test_validate_rejects(kw, match):
     with pytest.raises(ValueError, match=match):

@@ -98,7 +98,7 @@ def test_cf2_stage_uses_midpoint_potential():
     vals = _small_state()
     t, h = 0.3, 0.05
     out = make_stepper("cf2+strang", tg, 1.0)(vals, t, h)
-    expected = apply_splitting(SMALL, vals, "strang", h,
+    expected = apply_splitting(SMALL, vals.copy(), "strang", h,
                                tg.combination((1.0,), (t + 0.5 * h,)),
                                1.0, 1.0)
     np.testing.assert_allclose(out, expected, atol=1e-15)
@@ -183,6 +183,21 @@ def test_step_executes_nominal_transforms(method, monkeypatch):
     make_stepper(method, tg, 10.0)(_small_state(), 0.3, 0.05)
     assert calls.count("fftn") == calls.count("ifftn")
     assert len(calls) == 2 * pairs_per_step(method)
+
+
+@pytest.mark.parametrize("theta", [0.0, 10.0])
+@pytest.mark.parametrize("method", METHODS)
+def test_step_leaves_its_input_and_returns_fresh_arrays(method, theta):
+    tg = TrapOnGrid(TRAP, SMALL)
+    vals = _small_state()
+    before = vals.copy()
+    step = make_stepper(method, tg, theta)
+    one = step(vals, 0.3, 0.05)
+    np.testing.assert_array_equal(vals, before)
+    two = step(one, 0.35, 0.05)
+    assert not np.shares_memory(one, two)
+    assert not np.shares_memory(one, vals)
+    np.testing.assert_array_equal(one, step(before, 0.3, 0.05))
 
 
 def test_evolve_single_step_equals_stepper():

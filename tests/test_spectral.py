@@ -45,6 +45,10 @@ def test_grid_validation():
         Grid(2, (float("inf"), 1.0), (4, 4))  # infinite extent
     with pytest.raises(ValueError):
         Grid(2, (float("nan"), 1.0), (4, 4))  # undefined extent
+    with pytest.raises(ValueError, match="spacings"):
+        Grid(2, (1e308, 10.0), (8, 8))     # spacing 2L/M overflows
+    with pytest.raises(ValueError, match="spacings"):
+        Grid(2, (1e-300, 10.0), (8, 8))    # largest |k|^2 overflows
     with pytest.raises(ValueError):
         Grid(1, (1.0,), (4,))              # unsupported dimension
     with pytest.raises(ValueError):
@@ -75,15 +79,15 @@ def _random_field(grid, rng):
 def test_kinetic_flow_is_unitary(rng):
     grid = Grid(2, (5.0, 5.0), (16, 16))
     v = _random_field(grid, rng)
-    w = kinetic_flow(grid, v, 0.37)
+    w = kinetic_flow(grid, v.copy(), 0.37)
     assert grid.l2_norm(w) == pytest.approx(grid.l2_norm(v), rel=1e-14)
 
 
 def test_kinetic_flow_group_property(rng):
     grid = Grid(2, (5.0, 5.0), (16, 16))
     v = _random_field(grid, rng)
-    one = kinetic_flow(grid, kinetic_flow(grid, v, 0.2), 0.5)
-    two = kinetic_flow(grid, v, 0.7)
+    one = kinetic_flow(grid, kinetic_flow(grid, v.copy(), 0.2), 0.5)
+    two = kinetic_flow(grid, v.copy(), 0.7)
     assert grid.l2_norm(one - two) < 1e-13 * grid.l2_norm(v)
 
 
@@ -95,15 +99,41 @@ def test_kinetic_flow_plane_wave_phase():
     v = np.exp(1j * (k1 * x1 + k2 * x2))
     tau = 0.53
     expected = np.exp(-0.5j * tau * (k1 ** 2 + k2 ** 2)) * v
-    got = kinetic_flow(grid, v, tau)
+    got = kinetic_flow(grid, v.copy(), tau)
     np.testing.assert_allclose(got, expected, atol=1e-13)
 
 
 def test_kinetic_flow_coefficient_scales_time(rng):
     grid = Grid(2, (3.0, 3.0), (16, 16))
     v = _random_field(grid, rng)
-    np.testing.assert_allclose(kinetic_flow(grid, v, 0.4, b=0.5),
-                               kinetic_flow(grid, v, 0.2), atol=1e-14)
+    np.testing.assert_allclose(kinetic_flow(grid, v.copy(), 0.4, b=0.5),
+                               kinetic_flow(grid, v.copy(), 0.2), atol=1e-14)
+
+
+def test_kinetic_flow_works_in_place(rng):
+    grid = Grid(3, (3.0, 4.0, 5.0), (8, 12, 6))
+    v = _random_field(grid, rng)
+    column, block = grid.kinetic_phase(0.3)
+    expected = np.fft.ifftn(column * block * np.fft.fftn(v))
+    out = kinetic_flow(grid, v, 0.3)
+    assert out is v
+    np.testing.assert_allclose(out, expected, atol=1e-13)
+
+
+@pytest.mark.parametrize("half_widths,sizes", [
+    ((3.0, 4.0), (8, 12)), ((3.0, 4.0, 5.0), (8, 12, 6))])
+def test_kinetic_phase_factors_multiply_to_full_phase(half_widths, sizes):
+    grid = Grid(len(sizes), half_widths, sizes)
+    ksq = sum(k * k for k in np.meshgrid(*grid.wavenumbers, indexing="ij"))
+    for tau in (0.37, -1.3, 0.01):
+        column, block = grid.kinetic_phase(tau)
+        assert column.shape == (sizes[0],) + (1,) * (len(sizes) - 1)
+        assert block.shape == (1,) + sizes[1:]
+        # the phases agree to the roundoff of their arguments tau |k|^2 / 2
+        scale = max(1.0, 0.5 * abs(tau) * ksq.max())
+        np.testing.assert_allclose(column * block,
+                                   np.exp(-0.5j * tau * ksq),
+                                   rtol=0, atol=1e-15 * scale)
 
 
 def test_field_density_and_norm():

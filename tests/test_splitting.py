@@ -53,7 +53,7 @@ def test_unknown_splitting():
 def test_potential_flow_elementwise(rng):
     vals = _state(rng)
     pot = rng.standard_normal(GRID.sizes)
-    out = potential_flow(vals, 0.37, pot, theta=2.0)
+    out = potential_flow(vals.copy(), 0.37, pot, theta=2.0)
     dens = np.abs(vals) ** 2
     expected = np.exp(-1j * 0.37 * (pot + 2.0 * dens)) * vals
     np.testing.assert_allclose(out, expected, atol=1e-15)
@@ -64,15 +64,40 @@ def test_potential_flow_elementwise(rng):
 def test_potential_flow_zero_theta_skips_density(rng):
     vals = _state(rng)
     pot = rng.standard_normal(GRID.sizes)
-    np.testing.assert_array_equal(potential_flow(vals, 0.2, pot),
+    np.testing.assert_array_equal(potential_flow(vals.copy(), 0.2, pot),
                                   np.exp(-1j * 0.2 * pot) * vals)
+
+
+@pytest.mark.parametrize("theta", [0.0, 2.0])
+def test_kernels_return_the_array_they_were_given(rng, theta):
+    pot = rng.standard_normal(GRID.sizes)
+    vals = _state(rng)
+    assert potential_flow(vals, 0.2, pot, theta) is vals
+    for name in sorted(SPLITTINGS):
+        assert apply_splitting(GRID, vals, name, 0.1, pot, 1.0, theta) is vals
+
+
+@pytest.mark.parametrize("name", sorted(SPLITTINGS))
+def test_zero_theta_phase_reuse_matches_recomputed_phases(name, rng):
+    # at theta = 0 each distinct weight's factor is computed once and reused;
+    # recomputing every phase by hand must give the same bits
+    pot = rng.standard_normal(GRID.sizes)
+    vals = _state(rng)
+    tau, coef = 0.3, 0.7
+    expected = vals.copy()
+    for a, b in zip(*splitting_pairs(name)):
+        expected = kinetic_flow(GRID, expected, a * tau, coef)
+        if b:
+            expected = potential_flow(expected, b * tau, pot)
+    out = apply_splitting(GRID, vals.copy(), name, tau, pot, coef)
+    np.testing.assert_array_equal(out, expected)
 
 
 def test_strang_with_zero_potential_is_pure_kinetic(rng):
     vals = _state(rng)
     zero = np.zeros(GRID.sizes)
-    out = apply_splitting(GRID, vals, "strang", 0.41, zero)
-    np.testing.assert_allclose(out, kinetic_flow(GRID, vals, 0.41),
+    out = apply_splitting(GRID, vals.copy(), "strang", 0.41, zero)
+    np.testing.assert_allclose(out, kinetic_flow(GRID, vals.copy(), 0.41),
                                atol=1e-13)
 
 
@@ -91,7 +116,7 @@ def test_splitting_counts_transform_pairs(rng, monkeypatch):
     pot = rng.standard_normal(GRID.sizes)
     for name, pairs in (("strang", 2), ("rkn74", 7), ("rkn116", 11)):
         calls.clear()
-        apply_splitting(GRID, vals, name, 0.1, pot)
+        apply_splitting(GRID, vals.copy(), name, 0.1, pot)
         assert calls.count("fftn") == calls.count("ifftn") == pairs
 
 
@@ -101,8 +126,8 @@ def test_strang_local_error_is_third_order():
     vals = gaussian_state(GRID, (1.1, 0.9))
 
     def err(tau):
-        coarse = apply_splitting(GRID, vals, "strang", tau, pot)
-        fine = vals
+        coarse = apply_splitting(GRID, vals.copy(), "strang", tau, pot)
+        fine = vals.copy()
         for k in range(64):
             fine = apply_splitting(GRID, fine, "strang", tau / 64, pot)
         return GRID.l2_norm(coarse - fine)
@@ -118,8 +143,9 @@ def test_splitting_is_time_reversible(name, rng):
     pot = trap.combination((1.0,), (0.7,))
     vals = gaussian_state(GRID, (1.1, 0.9))
     for theta in (0.0, 1.0):
-        fwd = apply_splitting(GRID, vals, name, 0.05, pot, 1.0, theta)
-        back = apply_splitting(GRID, fwd, name, -0.05, pot, 1.0, theta)
+        fwd = apply_splitting(GRID, vals.copy(), name, 0.05, pot, 1.0, theta)
+        back = apply_splitting(GRID, fwd.copy(), name, -0.05, pot, 1.0,
+                               theta)
         assert GRID.l2_norm(back - vals) < 1e-13
 
 
@@ -127,5 +153,5 @@ def test_splitting_is_time_reversible(name, rng):
 def test_splitting_preserves_norm(name, rng):
     vals = _state(rng)
     pot = rng.standard_normal(GRID.sizes)
-    out = apply_splitting(GRID, vals, name, 0.3, pot, 1.0, 5.0)
+    out = apply_splitting(GRID, vals.copy(), name, 0.3, pot, 1.0, 5.0)
     assert GRID.l2_norm(out) == pytest.approx(GRID.l2_norm(vals), abs=1e-12)
