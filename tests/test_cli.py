@@ -84,9 +84,10 @@ def test_missing_config_exits_2(tmp_path):
      "grid spacings 2L/M must be positive and finite"),
     ("half_widths = 1e-300, 10\nsizes = 8, 8\n",
      "largest |k|^2 overflows"),
+    ("sizes = 8, 5\n", "grid sizes must be even"),
 ], ids=["nan-theta", "inf-omega", "inf-half-width", "duplicate-key",
         "no-equals", "overflowing-gamma", "overflowing-gaussian-weight",
-        "overflowing-spacing", "overflowing-wavenumber"])
+        "overflowing-spacing", "overflowing-wavenumber", "odd-size"])
 def test_invalid_config_exits_2(tmp_path, capsys, text, match):
     p = tmp_path / "bad.cfg"
     p.write_text("[run]\n" + text)

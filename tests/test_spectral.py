@@ -118,6 +118,8 @@ def test_kinetic_flow_works_in_place(rng):
     out = kinetic_flow(grid, v, 0.3)
     assert out is v
     np.testing.assert_allclose(out, expected, atol=1e-13)
+    with pytest.raises(TypeError, match="complex128"):
+        kinetic_flow(grid, v.real.copy(), 0.3)
 
 
 @pytest.mark.parametrize("half_widths,sizes", [

@@ -6,7 +6,7 @@ workload it runs N pairs, alternating which side goes first, and records per
 side and metric the median and quartiles, and per metric the number of pairs
 the working tree won.  Run from the repo root, for example:
 
-    python3 tools/bench_pairs.py --number 8 --base HEAD~1 --pairs 10 \\
+    python3 tools/bench_pairs.py --number <n> --base <rev> --pairs 10 \\
         --workloads linear-3d --seed 0 --seconds 30 --trace 0
 
 Results are merged into ``BENCH_<number>.json`` at the repo root under the
