@@ -31,10 +31,7 @@ def _bundled(name):
 
 
 def _load_config(args):
-    if args.config:
-        cfg = parse_config(args.config)
-    else:
-        cfg = RunConfig()
+    cfg = parse_config(args.config) if args.config else RunConfig()
     over = {}
     for key in ("theta", "dim", "workers", "out_dir"):
         if getattr(args, key, None) is not None:
@@ -63,17 +60,19 @@ def _methods_arg(args, default):
     return methods
 
 
-def _stepsizes(cfg, args):
+def _stepsizes(cfg, args, self_convergence=False):
+    """The study's stepsizes, checked before anything is written."""
+    span = cfg.t_final - cfg.t0
     if getattr(args, "steps", None) is not None:
         counts = [int(s) for s in str(args.steps).split(",")]
         if min(counts) < 1:
             raise ValueError(f"step counts must be positive, got {args.steps}")
-        span = cfg.t_final - cfg.t0
-        return [span / n for n in counts]
-    if cfg.stepsizes:
-        return list(cfg.stepsizes)
-    span = cfg.t_final - cfg.t0
-    return [span / 2 ** m for m in range(4, 10)]
+        stepsizes = [span / n for n in counts]
+    else:
+        stepsizes = (list(cfg.stepsizes)
+                     or [span / 2 ** m for m in range(4, 10)])
+    harness.check_stepsizes(cfg, stepsizes, self_convergence)
+    return stepsizes
 
 
 def _snapshot_name(time):
@@ -134,7 +133,7 @@ def cmd_converge(args):
 def cmd_self_converge(args):
     cfg = _load_config(args)
     methods = _methods_arg(args, [cfg.method])
-    stepsizes = _stepsizes(cfg, args)
+    stepsizes = _stepsizes(cfg, args, self_convergence=True)
     _echo_config(cfg)
     for m in methods:
         csv_path = os.path.join(cfg.out_dir,
@@ -214,13 +213,9 @@ def cmd_gradient_check(args):
         xi = rng.uniform(-5.0, 5.0, size=trap.dim)
         t = rng.uniform(cfg.t0, cfg.t_final)
         a = trap.gradient_coefficients(t)
-        if trap.dim == 2:
-            grad = np.array([a[0] * xi[0] + a[2] * xi[1],
-                             a[2] * xi[0] + a[1] * xi[1]])
-        else:
-            grad = np.array([a[0] * xi[0] + a[2] * xi[1],
-                             a[2] * xi[0] + a[1] * xi[1],
-                             a[3] * xi[2]])
+        grad = np.array([a[0] * xi[0] + a[2] * xi[1],
+                         a[2] * xi[0] + a[1] * xi[1]]
+                        + [a33 * x3 for a33, x3 in zip(a[3:], xi[2:])])
         fd = np.empty_like(grad)
         for ax in range(trap.dim):
             e = np.zeros(trap.dim)

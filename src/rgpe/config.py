@@ -86,6 +86,12 @@ class RunConfig:
                 "(expected 'gaussian' or 'vortex')")
         if not self.t_final > self.t0:
             raise ValueError("t_final must exceed t0")
+        span, angles = self.t_final - self.t0, (self.omega * self.t0,
+                                                 self.omega * self.t_final)
+        if not all(map(math.isfinite, (span, *angles))):
+            raise ValueError(f"the time span {span} and the rotation angles "
+                             f"omega * t0, omega * t_final {angles} must be "
+                             "finite")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if any(g <= 0 for g in self.gammas):
@@ -131,8 +137,7 @@ class RunConfig:
 def _parse_value(key, text):
     if key in _LIST_KEYS:
         parts = text.replace(",", " ").split()
-        vals = tuple(int(p) if key == "sizes" else float(p) for p in parts)
-        return vals
+        return tuple(int(p) if key == "sizes" else float(p) for p in parts)
     if key in _INT_KEYS:
         return int(text)
     if key in _FLOAT_KEYS:

@@ -5,8 +5,8 @@ reference computed once per study, and every study checks that reference
 against a twice-finer run.  Work is reported in transform pairs (one forward
 plus one inverse FFT), a run's being its step count times its method's fixed
 ``pairs_per_step``; wall time is recorded for curiosity but is
-machine-dependent and never part of any assertion.  Methods are checked
-before any run starts.
+machine-dependent and never part of any assertion.  Methods and
+stepsizes are checked before any run starts.
 """
 
 import csv
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from .integrators import DivergenceError, evolve, method_order
 
 __all__ = ["ConvergenceRow", "StudyResult", "check_methods",
-           "convergence_study", "self_convergence", "write_rows",
-           "CSV_HEADER"]
+           "check_stepsizes", "convergence_study", "self_convergence",
+           "write_rows", "CSV_HEADER"]
 
 log = logging.getLogger(__name__)
 
@@ -79,6 +79,14 @@ def _steps_for(span, stepsizes):
     return counts
 
 
+def check_stepsizes(cfg, stepsizes, self_convergence=False):
+    """Step counts of a study over cfg's time span, checked before any run."""
+    counts = _steps_for(cfg.t_final - cfg.t0, stepsizes)
+    if self_convergence and len(counts) < 4:
+        raise ValueError("self-convergence needs at least 4 stepsizes")
+    return counts
+
+
 def _run_one(cfg, method, n_steps):
     grid, trap, start = cfg.build()
     tic = time.perf_counter()
@@ -87,11 +95,7 @@ def _run_one(cfg, method, n_steps):
 
 
 def _pool_size(cfg, requested=None):
-    if requested:
-        return requested
-    if getattr(cfg, "workers", 0):
-        return cfg.workers
-    return os.cpu_count() or 1
+    return requested or cfg.workers or os.cpu_count() or 1
 
 
 def convergence_study(cfg, methods, stepsizes, workers=None, csv_path=None):
@@ -106,12 +110,13 @@ def convergence_study(cfg, methods, stepsizes, workers=None, csv_path=None):
     check_methods(methods)
     span = cfg.t_final - cfg.t0
     if isinstance(stepsizes, dict):
-        per_method = {m: _steps_for(span, hs) for m, hs in stepsizes.items()}
+        per_method = {m: check_stepsizes(cfg, hs)
+                      for m, hs in stepsizes.items()}
         if sorted(per_method) != sorted(methods):
             raise ValueError("per-method stepsizes must cover exactly the "
                              "requested methods")
     else:
-        counts = _steps_for(span, stepsizes)
+        counts = check_stepsizes(cfg, stepsizes)
         per_method = {m: list(counts) for m in methods}
 
     n_ref = cfg.reference_factor * max(max(ns) for ns in per_method.values())
@@ -166,14 +171,11 @@ def self_convergence(cfg, method, stepsizes, workers=None, csv_path=None):
     """Error of a method against itself at a tenfold-refined stepsize.
 
     The nonlinear regime has no dense oracle; consistency under refinement
-    is the substitute.  Needs at least four distinct stepsizes to say
-    anything about a slope.
+    is the substitute.
     """
     check_methods([method])
     span = cfg.t_final - cfg.t0
-    counts = _steps_for(span, stepsizes)
-    if len(counts) < 4:
-        raise ValueError("self-convergence needs at least 4 stepsizes")
+    counts = check_stepsizes(cfg, stepsizes, self_convergence=True)
     factor = cfg.reference_factor
 
     with ThreadPoolExecutor(max_workers=_pool_size(cfg, workers)) as pool:

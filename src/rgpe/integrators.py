@@ -41,11 +41,11 @@ def _cf(table, nodes, order):
 # outer scheme -> (nodes, order, stages); a stage is (tau fraction, node
 # weights, kinetic weight b, gradient-corrected?).  A stage with b = 0 is a
 # pure phase, and a corrected stage adds BBK_WTILDE_COEF h^2 times
-# |grad(W(., t_last) - W(., t_first))|^2 to its potential.  That field is
-# O(h^2), since the outer node times merge as h -> 0, and exactly zero for a
-# trap isotropic in the rotation plane.  The bbk kinetic weights are the
-# exact 0 and 1 its weights sum to; fsum gives 6.9e-18 and 1 - 1.1e-16, which
-# would change the results.
+# |grad(W(., t_last) - W(., t_first))|^2 = kappa (xi_1^2 + xi_2^2) to its
+# potential.  That term is O(h^2), since the outer node times merge as
+# h -> 0, and exactly zero for a trap isotropic in the rotation plane.  The
+# bbk kinetic weights are the exact 0 and 1 its weights sum to; fsum gives
+# 6.9e-18 and 1 - 1.1e-16, which would change the results.
 _A1, _A2 = _tables.BBK_A1, _tables.BBK_A2
 OUTER_SCHEMES = {
     "cf2": _cf(_tables.CF2_A, _tables.GAUSS1_NODES, 2),
@@ -98,27 +98,27 @@ def method_checksum(method):
 def make_stepper(method, trap_grid, theta):
     """Return step(values, t, h) -> values advancing one step from time t.
 
-    The stepper owns the scratch arrays its kernels run in, so it belongs
-    to one thread.  Each step copies its input once and works on the copy
-    in place: the caller's array is never written, and every returned state
-    is a fresh array.
+    The stepper owns the scratch arrays its kernels run in, the stage
+    potential's buffer among them, so it belongs to one thread.  Each step
+    copies its input once and works on the copy in place: the caller's
+    array is never written, and every returned state is a fresh array.
     """
     (nodes, _, stages), inner = _parse(method)
     grid = trap_grid.grid
     theta = float(theta)
     corrected = any(corrects for *_, corrects in stages)
+    kappa = trap_grid.trap.gradient_difference_coefficient
     work = workspace(grid.sizes, inner, theta)
+    P = np.empty(grid.sizes)
 
     def step(values, t, h):
         values = np.array(values, dtype=np.complex128)
         times = [t + c * h for c in nodes]
-        if corrected:
-            corr = (_tables.BBK_WTILDE_COEF * h * h) * \
-                trap_grid.gradient_difference_sq(times[-1], times[0])
+        shift = (_tables.BBK_WTILDE_COEF * h * h * kappa(times[-1], times[0])
+                 if corrected else 0.0)
         for frac, row, b, corrects in stages:
-            P = trap_grid.combination(row, times)
-            if corrects:
-                P = P + corr
+            trap_grid.combination(row, times, shift if corrects else 0.0,
+                                  out=P)
             if b:
                 values = apply_splitting(grid, values, inner, frac * h, P, b,
                                          b * theta, work)
@@ -174,6 +174,8 @@ def evolve(start, trap, theta, method, t_final, n_steps, snapshot_times=()):
     grid = start.grid
     t0 = start.time
     h = (float(t_final) - t0) / n_steps
+    if not math.isfinite(h):
+        raise ValueError(f"step size {h} to t = {t_final} is not finite")
     if h == 0:
         raise ValueError("t_final coincides with the field's current time")
 

@@ -3,9 +3,9 @@
 In the co-rotating coordinates the Laplacian keeps its form and the only
 time dependence left is the trap, evaluated at the back-rotated position.
 Because the trap is quadratic, the rotated potential stays a quadratic form
-with time-dependent coefficients; it is evaluated here in closed form on
-cached coordinate monomials, and so is the squared gradient difference the
-gradient correction needs.
+with time-dependent coefficients, and so do a stage's node combination and
+the squared gradient difference of the gradient correction.  A stage
+potential is summed on its coefficients and evaluated once, in place.
 """
 
 import numpy as np
@@ -53,10 +53,7 @@ class Trap:
         w = self.angle(t)
         c, s = np.cos(w), np.sin(w)
         R = np.eye(self.dim)
-        R[0, 0] = c
-        R[0, 1] = s
-        R[1, 0] = -s
-        R[1, 1] = c
+        R[:2, :2] = ((c, s), (-s, c))
         return R
 
     def quad_coefficients(self, t):
@@ -70,9 +67,7 @@ class Trap:
         c11 = 0.5 * (g1s * c * c + g2s * s * s)
         c22 = 0.5 * (g1s * s * s + g2s * c * c)
         c12 = (g1s - g2s) * s * c
-        if self.dim == 2:
-            return (c11, c22, c12)
-        return (c11, c22, c12, 0.5 * self.gammas[2] ** 2)
+        return (c11, c22, c12) + tuple(0.5 * g ** 2 for g in self.gammas[2:])
 
     def gradient_coefficients(self, t):
         """Entries (a11, a22, a12[, a33]) of the symmetric matrix A(t) with
@@ -80,9 +75,25 @@ class Trap:
         c11, c22, c12, *c33 = self.quad_coefficients(t)
         return (2.0 * c11, 2.0 * c22, c12) + tuple(2.0 * c for c in c33)
 
+    def gradient_difference_coefficient(self, t1, t0):
+        """kappa = |grad W(xi, t1) - grad W(xi, t0)|^2 / (xi_1^2 + xi_2^2).
+
+        In the plane A(t1) - A(t0) = [[d11, d12], [d12, -d11]] squares to
+        (d11^2 + d12^2) I; x3 does not rotate.  The anisotropy g1^2 - g2^2
+        factors out of d11 and d12, so kappa is exactly 0 for isotropic traps.
+        """
+        aniso = self.gammas[0] ** 2 - self.gammas[1] ** 2
+        w1, w0 = self.angle(t1), self.angle(t0)
+        c1, s1 = np.cos(w1), np.sin(w1)
+        c0, s0 = np.cos(w0), np.sin(w0)
+        d11 = aniso * (c1 * c1 - c0 * c0)
+        d12 = aniso * (s1 * c1 - s0 * c0)
+        return d11 * d11 + d12 * d12
+
 
 class TrapOnGrid:
-    """A trap sampled on a grid, with the quadratic monomials precomputed."""
+    """A trap on a grid; holds only the sparse coordinate vectors and their
+    squares, and builds each field on request from its coefficients."""
 
     def __init__(self, trap, grid):
         if trap.dim != grid.dim:
@@ -90,53 +101,38 @@ class TrapOnGrid:
                              f"grid dimension {grid.dim}")
         self.trap = trap
         self.grid = grid
-        xs = grid.coordinates()
-        self._x = xs
-        self._m11 = np.broadcast_to(xs[0] * xs[0], grid.sizes)
-        self._m22 = np.broadcast_to(xs[1] * xs[1], grid.sizes)
-        self._m12 = np.broadcast_to(xs[0] * xs[1], grid.sizes)
-        self._m33 = (np.broadcast_to(xs[2] * xs[2], grid.sizes)
-                     if grid.dim == 3 else None)
+        self._x = grid.coordinates()
+        self._sq = tuple(x * x for x in self._x)
 
-    def combination(self, weights, times):
-        """sum_k weights[k] * W(., times[k]), done on the coefficients."""
+    def combination(self, weights, times, shift=0.0, out=None):
+        """sum_k weights[k] W(., times[k]) + shift (xi_1^2 + xi_2^2), summed
+        on the coefficients and written into ``out`` (allocated if None)."""
         cs = [self.trap.quad_coefficients(t) for t in times]
-        acc = [sum(w * c[i] for w, c in zip(weights, cs))
-               for i in range(len(cs[0]))]
-        W = acc[0] * self._m11 + acc[1] * self._m22 + acc[2] * self._m12
-        if self._m33 is not None:
-            W = W + acc[3] * self._m33
-        return W
+        c11, c22, c12, *c33 = (sum(w * c[i] for w, c in zip(weights, cs))
+                               for i in range(len(cs[0])))
+        if out is None:
+            out = np.empty(self.grid.sizes)
+        x, sq = self._x, self._sq
+        np.multiply(x[0], c12 * x[1], out=out)
+        out += (c11 + shift) * sq[0]
+        out += (c22 + shift) * sq[1]
+        if c33:
+            out += c33[0] * sq[2]
+        return out
 
     def gradient_difference_sq(self, t1, t0):
-        """|grad(W(., t1) - W(., t0))|^2, used by the gradient correction.
-
-        The x3 part of the trap does not rotate, so only the in-plane
-        components contribute.  Writing a11 = g2^2 + (g1^2 - g2^2) cos^2
-        lets the anisotropy g1^2 - g2^2 be factored out of the coefficient
-        differences, so the result is an exact zero for isotropic traps.
-        """
-        g1s, g2s = self.trap.gammas[0] ** 2, self.trap.gammas[1] ** 2
-        aniso = g1s - g2s
-        w1, w0 = self.trap.angle(t1), self.trap.angle(t0)
-        c1, s1 = np.cos(w1), np.sin(w1)
-        c0, s0 = np.cos(w0), np.sin(w0)
-        d11 = aniso * (c1 * c1 - c0 * c0)   # and d22 = -d11
-        d12 = aniso * (s1 * c1 - s0 * c0)
-        x = self._x
-        D1 = d11 * x[0] + d12 * x[1]
-        D2 = d12 * x[0] - d11 * x[1]
-        return np.broadcast_to(D1 * D1 + D2 * D2, self.grid.sizes)
+        """|grad(W(., t1) - W(., t0))|^2 on the grid, from its kappa."""
+        kappa = self.trap.gradient_difference_coefficient(t1, t0)
+        return np.broadcast_to(kappa * (self._sq[0] + self._sq[1]),
+                               self.grid.sizes)
 
 
 def gaussian_state(grid, widths):
     """prod_l exp(-widths_l^2 xi_l^2 / 2), the standard smooth test state."""
     if len(widths) != grid.dim:
         raise ValueError("one width per dimension required")
-    xs = grid.coordinates()
-    expo = 0.0
-    for w, x in zip(widths, xs):
-        expo = expo - 0.5 * (float(w) ** 2) * x * x
+    expo = sum(-0.5 * float(w) ** 2 * x * x
+               for w, x in zip(widths, grid.coordinates()))
     return np.exp(expo).astype(np.complex128)
 
 

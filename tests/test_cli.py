@@ -85,9 +85,15 @@ def test_missing_config_exits_2(tmp_path):
     ("half_widths = 1e-300, 10\nsizes = 8, 8\n",
      "largest |k|^2 overflows"),
     ("sizes = 8, 5\n", "grid sizes must be even"),
+    ("sizes = 8, 8\nn_steps = 2\nomega = 1e308\n",
+     "rotation angles omega * t0, omega * t_final (0.0, inf) must be "
+     "finite"),
+    ("sizes = 8, 8\nn_steps = 2\nt0 = -1e308\nt_final = 1e308\n",
+     "the time span inf and the rotation angles"),
 ], ids=["nan-theta", "inf-omega", "inf-half-width", "duplicate-key",
         "no-equals", "overflowing-gamma", "overflowing-gaussian-weight",
-        "overflowing-spacing", "overflowing-wavenumber", "odd-size"])
+        "overflowing-spacing", "overflowing-wavenumber", "odd-size",
+        "overflowing-angle", "overflowing-span"])
 def test_invalid_config_exits_2(tmp_path, capsys, text, match):
     p = tmp_path / "bad.cfg"
     p.write_text("[run]\n" + text)
@@ -168,6 +174,20 @@ def test_bad_study_arguments_exit_2_before_any_run(tiny_cfg, tmp_path,
     assert code == 2
     assert match in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("command,steps,match", [
+    ("converge", "4,4", "duplicate stepsizes"),
+    ("self-converge", "4,8,16", "needs at least 4 stepsizes"),
+], ids=["duplicate-steps", "too-few-steps"])
+def test_bad_step_lists_exit_2_before_writing(tiny_cfg, tmp_path, capsys,
+                                              command, steps, match):
+    out = tmp_path / "o"
+    code = main(["--config", tiny_cfg, "--out", str(out), command,
+                 "--methods", "cf2+strang", "--steps", steps])
+    assert code == 2
+    assert match in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
 
 
 def test_runtime_error_exits_3(tiny_cfg, tmp_path, monkeypatch, capsys):

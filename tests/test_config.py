@@ -118,6 +118,9 @@ def test_with_overrides_ignores_none():
     (dict(half_widths=(1e-300, 10.0), sizes=(8, 8)),
      r"largest \|k\|\^2 overflows"),
     (dict(sizes=(8, 5)), "grid sizes must be even"),
+    (dict(omega=1e308), r"omega \* t_final \(0\.0, inf\) must be finite"),
+    (dict(omega=1e300, t0=-1e10), r"omega \* t_final \(-inf, 4e\+300\)"),
+    (dict(t0=-1e308, t_final=1e308), "the time span inf and"),
 ])
 def test_validate_rejects(kw, match):
     with pytest.raises(ValueError, match=match):

@@ -246,6 +246,9 @@ def test_evolve_validation():
         evolve(Field(grid, vals, 0.0, "lab"), TRAP, 0.0, "cf2+strang", 1.0, 4)
     with pytest.raises(ValueError, match="coincides"):
         evolve(start, TRAP, 0.0, "cf2+strang", 0.0, 4)
+    with pytest.raises(ValueError, match="not finite"):
+        evolve(Field(grid, vals, -1e308, "rotating"), TRAP, 0.0,
+               "cf2+strang", 1e308, 2)
     with pytest.raises(ValueError, match="step boundary"):
         evolve(start, TRAP, 0.0, "cf2+strang", 1.0, 4,
                snapshot_times=(0.3,))

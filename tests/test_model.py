@@ -1,5 +1,7 @@
 """Trap geometry, time-dependent potential, and initial states."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -133,20 +135,61 @@ def test_combination_is_weighted_sum(rng):
                                atol=1e-12)
 
 
+def test_combination_writes_into_out_without_full_size_temporaries():
+    grid = Grid(3, (8.0, 8.0, 8.0), (48, 48, 48))
+    tg = TrapOnGrid(Trap((0.8, 1.2, 1.0), 0.5), grid)
+    buf = np.empty(grid.sizes)
+    weights, times = (0.3, -0.2, 0.9), (0.1, 0.5, 0.9)
+    tg.combination(weights, times, 0.01, out=buf)   # warm up
+    tracemalloc.start()
+    try:
+        out = tg.combination(weights, times, 0.01, out=buf)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out is buf
+    assert peak < 0.25 * buf.nbytes
+    np.testing.assert_array_equal(out, tg.combination(weights, times, 0.01))
+
+
+@pytest.mark.parametrize("trap,grid", [
+    (TRAP, GRID),
+    (Trap((0.8, 1.2, 1.0), 0.5), Grid(3, (8.0, 8.0, 8.0), (16, 16, 16)))])
+def test_combination_shift_adds_in_plane_square(rng, trap, grid):
+    tg = TrapOnGrid(trap, grid)
+    weights = rng.standard_normal(3)
+    times = [0.1, 0.9, 2.2]
+    x = grid.coordinates()
+    expected = tg.combination(weights, times) + 0.37 * (x[0] ** 2
+                                                         + x[1] ** 2)
+    got = tg.combination(weights, times, shift=0.37)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 def test_gradient_difference_sq_properties():
-    tg = TrapOnGrid(TRAP, GRID)
-    # exact zero when the two times coincide
-    assert np.all(tg.gradient_difference_sq(1.3, 1.3) == 0.0)
-    # pointwise equals |grad W(t1) - grad W(t0)|^2
-    x = GRID.coordinates()
+    for trap, grid in ((TRAP, GRID),
+                       (Trap((0.8, 1.2, 1.1), 0.5),
+                        Grid(3, (6.0, 6.0, 6.0), (16, 16, 16)))):
+        tg = TrapOnGrid(trap, grid)
+        # exact zero when the two times coincide
+        assert np.all(tg.gradient_difference_sq(1.3, 1.3) == 0.0)
+        # pointwise equals |grad W(t1) - grad W(t0)|^2
+        x = grid.coordinates()
 
-    def grad(t):
-        a = TRAP.gradient_coefficients(t)
-        return (a[0] * x[0] + a[2] * x[1], a[2] * x[0] + a[1] * x[1])
+        def grad(t):
+            a = trap.gradient_coefficients(t)
+            g = (a[0] * x[0] + a[2] * x[1], a[2] * x[0] + a[1] * x[1])
+            return g + tuple(c * xi for c, xi in zip(a[3:], x[2:]))
 
-    expected = sum((a - b) ** 2 for a, b in zip(grad(1.1), grad(0.4)))
-    np.testing.assert_allclose(tg.gradient_difference_sq(1.1, 0.4), expected,
-                               atol=1e-12)
+        diffs = [a - b for a, b in zip(grad(1.1), grad(0.4))]
+        field = tg.gradient_difference_sq(1.1, 0.4)
+        assert field.shape == grid.sizes
+        np.testing.assert_allclose(field, sum(d ** 2 for d in diffs),
+                                   atol=1e-12)
+        if grid.dim == 3:
+            # the x3 part of the trap does not rotate: no xi_3 part
+            assert np.all(diffs[2] == 0.0)
+            assert np.all(field == field[:, :, :1])
 
 
 def test_gradient_difference_sq_isotropic_is_zero():
