@@ -174,8 +174,8 @@ def evolve(start, trap, theta, method, t_final, n_steps, snapshot_times=()):
     grid = start.grid
     t0 = start.time
     h = (float(t_final) - t0) / n_steps
-    if not math.isfinite(h):
-        raise ValueError(f"step size {h} to t = {t_final} is not finite")
+    if not all(map(math.isfinite, (h, trap.angle(t0), trap.angle(t_final)))):
+        raise ValueError(f"step size {h} or rotation angle is not finite")
     if h == 0:
         raise ValueError("t_final coincides with the field's current time")
 

@@ -246,9 +246,11 @@ def test_evolve_validation():
         evolve(Field(grid, vals, 0.0, "lab"), TRAP, 0.0, "cf2+strang", 1.0, 4)
     with pytest.raises(ValueError, match="coincides"):
         evolve(start, TRAP, 0.0, "cf2+strang", 0.0, 4)
-    with pytest.raises(ValueError, match="not finite"):
+    with pytest.raises(ValueError, match="step size inf or rotation angle"):
         evolve(Field(grid, vals, -1e308, "rotating"), TRAP, 0.0,
                "cf2+strang", 1e308, 2)
+    with pytest.raises(ValueError, match="rotation angle is not finite"):
+        evolve(start, Trap((0.8, 1.2), 1e308), 0.0, "cf2+strang", 4.0, 2)
     with pytest.raises(ValueError, match="step boundary"):
         evolve(start, TRAP, 0.0, "cf2+strang", 1.0, 4,
                snapshot_times=(0.3,))
