@@ -186,7 +186,8 @@ def observed_order(stepsizes, errors, window=None, floor=1e-12):
 
 def _lab_rhs(t, y, trap):
     w = trap.rotation_rate
-    g1s, g2s = trap.gammas[0] ** 2, trap.gammas[1] ** 2
+    g1s = trap.gammas[0] ** 2
+    g2s = trap.gammas[1] ** 2
     x1, x2, p1, p2 = y
     return (p1 + w * x2, p2 - w * x1,
             -g1s * x1 + w * p2, -g2s * x2 - w * p1)
@@ -231,7 +232,8 @@ def classical_transform_check(trap, q0=(1.0, 0.0), p0=(0.0, 1.0),
     n = int(round(t_final / step))
     h = t_final / n
     w = trap.rotation_rate
-    g1s, g2s = trap.gammas[0] ** 2, trap.gammas[1] ** 2
+    g1s = trap.gammas[0] ** 2
+    g2s = trap.gammas[1] ** 2
 
     max_dev = 0.0
     max_energy = 0.0
