@@ -99,9 +99,10 @@ def make_stepper(method, trap_grid, theta):
     """Return step(values, t, h) -> values advancing one step from time t.
 
     The stepper owns the scratch arrays its kernels run in, the stage
-    potential's buffer among them, so it belongs to one thread.  Each step
-    copies its input once and works on the copy in place: the caller's
-    array is never written, and every returned state is a fresh array.
+    potential's plane buffer among them, so it belongs to one thread.  Each
+    step evaluates the trap's coefficients once per node and copies its
+    input once, working on the copy in place: the caller's array is never
+    written, and every returned state is a fresh array.
     """
     (nodes, _, stages), inner = _parse(method)
     grid = trap_grid.grid
@@ -109,21 +110,24 @@ def make_stepper(method, trap_grid, theta):
     corrected = any(corrects for *_, corrects in stages)
     kappa = trap_grid.trap.gradient_difference_coefficient
     work = workspace(grid.sizes, inner, theta)
-    P = np.empty(grid.sizes)
+    plane = np.empty(trap_grid.plane_shape)
 
     def step(values, t, h):
         values = np.array(values, dtype=np.complex128)
         times = [t + c * h for c in nodes]
+        coefs = trap_grid.coefficients(times)
         shift = (_tables.BBK_WTILDE_COEF * h * h * kappa(times[-1], times[0])
                  if corrected else 0.0)
         for frac, row, b, corrects in stages:
-            trap_grid.combination(row, times, shift if corrects else 0.0,
-                                  out=P)
+            _, line = trap_grid.combination(row, coefs,
+                                            shift if corrects else 0.0,
+                                            out=plane)
             if b:
-                values = apply_splitting(grid, values, inner, frac * h, P, b,
-                                         b * theta, work)
+                values = apply_splitting(grid, values, inner, frac * h,
+                                         plane, b, b * theta, work, line)
             else:
-                values = potential_flow(values, frac * h, P, work=work)
+                values = potential_flow(values, frac * h, plane, work=work,
+                                        line=line)
         return values
 
     return step

@@ -5,7 +5,8 @@ time dependence left is the trap, evaluated at the back-rotated position.
 Because the trap is quadratic, the rotated potential stays a quadratic form
 with time-dependent coefficients, and so do a stage's node combination and
 the squared gradient difference of the gradient correction.  A stage
-potential is summed on its coefficients and evaluated once, in place.
+potential is summed on its coefficients and evaluated once, in place, as an
+in-plane quadratic plus, in 3-D, an axial line.
 """
 
 import numpy as np
@@ -93,7 +94,12 @@ class Trap:
 
 class TrapOnGrid:
     """A trap on a grid; holds only the sparse coordinate vectors and their
-    squares, and builds each field on request from its coefficients."""
+    squares, and builds each field on request from its coefficients.
+
+    The trap rotates in the (xi_1, xi_2) plane only, so a stage potential is
+    separable: an in-plane quadratic on ``plane_shape``, (M1, M2) in 2-D and
+    (M1, M2, 1) in 3-D, plus in 3-D a fixed axial term on a (1, 1, M3) line.
+    """
 
     def __init__(self, trap, grid):
         if trap.dim != grid.dim:
@@ -101,24 +107,33 @@ class TrapOnGrid:
                              f"grid dimension {grid.dim}")
         self.trap = trap
         self.grid = grid
+        self.plane_shape = grid.sizes[:2] + (1,) * (grid.dim - 2)
         self._x = grid.coordinates()
         self._sq = tuple(x * x for x in self._x)
 
-    def combination(self, weights, times, shift=0.0, out=None):
-        """sum_k weights[k] W(., times[k]) + shift (xi_1^2 + xi_2^2), summed
-        on the coefficients and written into ``out`` (allocated if None)."""
-        cs = [self.trap.quad_coefficients(t) for t in times]
-        c11, c22, c12, *c33 = (sum(w * c[i] for w, c in zip(weights, cs))
-                               for i in range(len(cs[0])))
+    def coefficients(self, times):
+        """The quadratic-form coefficients of W(., t) at each time."""
+        return [self.trap.quad_coefficients(t) for t in times]
+
+    def combination(self, weights, coefficients, shift=0.0, out=None):
+        """sum_k weights[k] W(., t_k) + shift (xi_1^2 + xi_2^2) as (plane,
+        line), where ``coefficients[k]`` are W's at t_k (:meth:`coefficients`).
+
+        The forms are summed on their coefficients.  The in-plane quadratic
+        is written into ``out`` (``plane_shape``, allocated if None) and
+        returned as the plane; the line is the axial term on (1, 1, M3) in
+        3-D and None in 2-D, where the plane is the whole potential.
+        """
+        c11, c22, c12, *c33 = (sum(w * c[i] for w, c in zip(weights,
+                                                            coefficients))
+                               for i in range(len(coefficients[0])))
         if out is None:
-            out = np.empty(self.grid.sizes)
+            out = np.empty(self.plane_shape)
         x, sq = self._x, self._sq
         np.multiply(x[0], c12 * x[1], out=out)
         out += (c11 + shift) * sq[0]
         out += (c22 + shift) * sq[1]
-        if c33:
-            out += c33[0] * sq[2]
-        return out
+        return out, (c33[0] * sq[2] if c33 else None)
 
     def gradient_difference_sq(self, t1, t0):
         """|grad(W(., t1) - W(., t0))|^2 on the grid, from its kappa."""

@@ -51,14 +51,27 @@ def workspace(shape, scheme=None, theta=0.0):
                                 for _ in range(factors)]
 
 
-def potential_flow(values, tau, potential, theta=0.0, work=None):
+def _cis(tau, phase, arg, out):
+    """exp(-i tau phase) into ``out``, by cos and sin of arg = -tau phase."""
+    np.multiply(-tau, phase, out=arg)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    return out
+
+
+def potential_flow(values, tau, potential, theta=0.0, work=None, line=None):
     """Exact flow of i u_t = (P + theta |u|^2) u over tau.
 
     |u| is pointwise invariant, so freezing the density makes this exact,
-    not an approximation.  Works in place: ``values`` is overwritten with the
-    result and returned.  ``work`` is a :func:`workspace`; its first two
-    buffers are used, and afterwards ``work[1]`` holds the phase factor
-    exp(-i tau (P + theta |u|^2)).  Without one, a workspace is allocated.
+    not an approximation.  P is ``potential`` plus, if given, ``line``; both
+    broadcast to ``values``, so P can be a stage's plane and axial line
+    (``TrapOnGrid.combination``).  Works in place: ``values`` is
+    overwritten with the result and returned.  ``work`` is a
+    :func:`workspace`; its first two buffers are used, and afterwards
+    ``work[1]`` holds the phase factor exp(-i tau (P + theta |u|^2)).
+    Without one, a workspace is allocated.  At theta = 0 with a line, the
+    factor is the product of the plane's and the line's, so cos and sin run
+    on M1 M2 + M3 points rather than on the whole grid.
     """
     if work is None:
         work = workspace(values.shape)
@@ -68,28 +81,34 @@ def potential_flow(values, tau, potential, theta=0.0, work=None):
         np.square(values.real, out=arg)
         np.add(arg, np.square(values.imag, out=factor.real), out=arg)
         phase = np.add(potential, nonlinearity(arg, theta, out=arg), out=arg)
+        if line is not None:
+            np.add(phase, line, out=phase)
+        _cis(tau, phase, arg, factor)
+    elif line is None:
+        _cis(tau, potential, arg, factor)
     else:
-        phase = potential
-    np.multiply(-tau, phase, out=arg)
-    np.cos(arg, out=factor.real)
-    np.sin(arg, out=factor.imag)
+        plane, axial = (_cis(tau, part, np.empty(part.shape),
+                             np.empty(part.shape, np.complex128))
+                        for part in (potential, line))
+        np.multiply(plane, axial, out=factor)
     # factor first: this order reproduces np.exp(...) * values bit for bit
     return np.multiply(factor, values, out=values)
 
 
 def apply_splitting(grid, values, scheme, tau, potential, kinetic_coef=1.0,
-                    theta=0.0, work=None):
+                    theta=0.0, work=None, line=None):
     """Propagate values over tau with the named splitting, in place.
 
-    ``potential`` is a real array on the grid; ``kinetic_coef`` scales the
-    kinetic term (stages of the exponential integrators need fractional,
-    sometimes negative, kinetic weights); ``theta`` is the cubic coefficient
-    as seen by this stage, i.e. already scaled by the kinetic weight.
-    ``values`` is overwritten with the result and returned.  At theta = 0
-    the potential phase is fixed for the whole call, so each distinct
-    potential weight's factor is computed once, into its own buffer of
-    ``work`` (``workspace(shape, scheme, theta)``), and later visits only
-    multiply.  Without ``work``, a workspace is allocated.
+    ``potential`` and ``line`` are the stage potential as
+    :func:`potential_flow` takes it; ``kinetic_coef`` scales the kinetic
+    term (stages of the exponential integrators need fractional, sometimes
+    negative, kinetic weights); ``theta`` is the cubic coefficient as seen
+    by this stage, i.e. already scaled by the kinetic weight.  ``values`` is
+    overwritten with the result and returned.  At theta = 0 the potential
+    phase is fixed for the whole call, so each distinct potential weight's
+    factor is computed once, into its own buffer of ``work``
+    (``workspace(shape, scheme, theta)``), and later visits only multiply.
+    Without ``work``, a workspace is allocated.
     """
     alphas, betas = splitting_pairs(scheme)
     slots = _FACTOR_SLOTS[scheme]
@@ -101,11 +120,11 @@ def apply_splitting(grid, values, scheme, tau, potential, kinetic_coef=1.0,
         if not b:
             continue
         if theta:
-            potential_flow(values, b * tau, potential, theta, work)
+            potential_flow(values, b * tau, potential, theta, work, line)
         elif b in done:
             np.multiply(work[slots[b]], values, out=values)
         else:
             potential_flow(values, b * tau, potential, 0.0,
-                           (work[0], work[slots[b]]))
+                           (work[0], work[slots[b]]), line)
             done.add(b)
     return values

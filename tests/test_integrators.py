@@ -8,13 +8,13 @@ import scipy.fft
 from scipy.linalg import expm
 
 from rgpe import _tables
-from rgpe.integrators import (METHODS, DivergenceError, evolve,
-                              make_stepper, method_checksum, method_order,
-                              pairs_per_step)
+from rgpe.integrators import (METHODS, OUTER_SCHEMES, DivergenceError,
+                              evolve, make_stepper, method_checksum,
+                              method_order, pairs_per_step)
 from rgpe.model import Trap, TrapOnGrid, gaussian_state
 from rgpe.oracle import dense_kinetic
 from rgpe.spectral import Field, Grid
-from rgpe.splitting import apply_splitting
+from rgpe.splitting import apply_splitting, potential_flow
 
 TRAP = Trap((0.8, 1.2), 0.5)
 SMALL = Grid(2, (3.5, 3.5), (8, 8))
@@ -98,9 +98,9 @@ def test_cf2_stage_uses_midpoint_potential():
     vals = _small_state()
     t, h = 0.3, 0.05
     out = make_stepper("cf2+strang", tg, 1.0)(vals, t, h)
-    expected = apply_splitting(SMALL, vals.copy(), "strang", h,
-                               tg.combination((1.0,), (t + 0.5 * h,)),
-                               1.0, 1.0)
+    pot, _ = tg.combination((1.0,), tg.coefficients((t + 0.5 * h,)))
+    expected = apply_splitting(SMALL, vals.copy(), "strang", h, pot, 1.0,
+                               1.0)
     np.testing.assert_allclose(out, expected, atol=1e-15)
 
 
@@ -126,6 +126,10 @@ _DENSE_H = {"cf2+strang": 2e-4, "cf4+rkn74": 0.02, "cf4af+rkn74": 0.02,
 def _dense_step(method, tg, vals, t0, h):
     """One step of the method with every stage exponential computed densely."""
     grid = tg.grid
+
+    def potential(row, times):
+        return tg.combination(row, tg.coefficients(times))[0]
+
     A = dense_kinetic(grid)
     u = vals.reshape(-1).copy()
     outer = method.split("+")[0]
@@ -134,12 +138,12 @@ def _dense_step(method, tg, vals, t0, h):
         times = [t0 + ck * h for ck in c]
         corr = (_tables.BBK_WTILDE_COEF * h * h) * \
             tg.gradient_difference_sq(times[2], times[0])
-        u = np.exp(-1j * h * (tg.combination(_tables.BBK_A1, times)
+        u = np.exp(-1j * h * (potential(_tables.BBK_A1, times)
                               + corr)).reshape(-1) * u
         for a2 in (_tables.BBK_A2, _tables.BBK_A2[::-1]):
-            P = np.diag(tg.combination(a2, times).reshape(-1))
+            P = np.diag(potential(a2, times).reshape(-1))
             u = expm(-0.5j * h * (A + P)) @ u
-        u = np.exp(-1j * h * (tg.combination(_tables.BBK_A1[::-1], times)
+        u = np.exp(-1j * h * (potential(_tables.BBK_A1[::-1], times)
                               + corr)).reshape(-1) * u
         return u.reshape(grid.sizes)
     table, nodes, _ = {
@@ -150,7 +154,7 @@ def _dense_step(method, tg, vals, t0, h):
     times = [t0 + ck * h for ck in nodes]
     for row in table:
         b = math.fsum(row)
-        P = np.diag(tg.combination(row, times).reshape(-1))
+        P = np.diag(potential(row, times).reshape(-1))
         u = expm(-1j * h * (b * A + P)) @ u
     return u.reshape(grid.sizes)
 
@@ -198,6 +202,35 @@ def test_step_leaves_its_input_and_returns_fresh_arrays(method, theta):
     assert not np.shares_memory(one, two)
     assert not np.shares_memory(one, vals)
     np.testing.assert_array_equal(one, step(before, 0.3, 0.05))
+
+
+@pytest.mark.parametrize("theta", [0.0, 10.0])
+@pytest.mark.parametrize("method", METHODS)
+def test_3d_step_matches_full_size_potential_loop(method, theta):
+    # the stepper's plane-and-line stage potentials against a hand loop
+    # over the stage table that applies each stage potential at full size
+    grid = Grid(3, (6.0, 5.0, 4.0), (12, 10, 8))
+    trap = Trap((0.8, 1.2, 1.1), 0.5)
+    tg = TrapOnGrid(trap, grid)
+    vals = gaussian_state(grid, (1.1, 0.9, 1.0))
+    t, h = 0.3, 0.05
+    outer, inner = method.split("+")
+    nodes, _, stages = OUTER_SCHEMES[outer]
+    times = [t + c * h for c in nodes]
+    kappa = trap.gradient_difference_coefficient(times[-1], times[0])
+    expected = vals.copy()
+    for frac, row, b, corrects in stages:
+        shift = _tables.BBK_WTILDE_COEF * h * h * kappa if corrects else 0.0
+        plane, line = tg.combination(row, tg.coefficients(times), shift)
+        P = plane + line
+        assert P.shape == grid.sizes
+        if b:
+            expected = apply_splitting(grid, expected, inner, frac * h, P,
+                                       b, b * theta)
+        else:
+            expected = potential_flow(expected, frac * h, P)
+    out = make_stepper(method, tg, theta)(vals, t, h)
+    assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_evolve_single_step_equals_stepper():

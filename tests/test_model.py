@@ -117,39 +117,59 @@ def test_axial_gradient_example():
     assert a[3] * 2.0 == pytest.approx(2.0, abs=1e-14)
 
 
+def _potential(tg, weights, times, shift=0.0):
+    """The whole stage potential: its plane plus, in 3-D, its axial line."""
+    plane, line = tg.combination(weights, tg.coefficients(times), shift)
+    return plane if line is None else plane + line
+
+
 def test_trap_on_grid_values_match_direct():
     tg = TrapOnGrid(TRAP, GRID)
     for t in (0.0, 1.3):
-        np.testing.assert_allclose(tg.combination((1.0,), (t,)),
+        np.testing.assert_allclose(_potential(tg, (1.0,), (t,)),
                                    potential_direct(TRAP, PTS, t),
                                    atol=1e-12)
 
 
-def test_combination_is_weighted_sum(rng):
-    tg = TrapOnGrid(TRAP, GRID)
+@pytest.mark.parametrize("trap,grid", [
+    (TRAP, GRID),
+    (Trap((0.8, 1.2, 1.1), 0.5), Grid(3, (6.0, 5.0, 4.0), (12, 10, 8)))])
+def test_combination_is_weighted_sum(rng, trap, grid):
+    tg = TrapOnGrid(trap, grid)
+    pts = np.stack(np.meshgrid(*grid.axes, indexing="ij"), axis=-1)
     weights = rng.standard_normal(3)
     times = [0.1, 0.9, 2.2]
-    expected = sum(w * potential_direct(TRAP, PTS, t)
+    expected = sum(w * potential_direct(trap, pts, t)
                    for w, t in zip(weights, times))
-    np.testing.assert_allclose(tg.combination(weights, times), expected,
+    np.testing.assert_allclose(_potential(tg, weights, times), expected,
                                atol=1e-12)
 
 
 def test_combination_writes_into_out_without_full_size_temporaries():
     grid = Grid(3, (8.0, 8.0, 8.0), (48, 48, 48))
     tg = TrapOnGrid(Trap((0.8, 1.2, 1.0), 0.5), grid)
-    buf = np.empty(grid.sizes)
-    weights, times = (0.3, -0.2, 0.9), (0.1, 0.5, 0.9)
-    tg.combination(weights, times, 0.01, out=buf)   # warm up
+    buf = np.empty(tg.plane_shape)
+    weights = (0.3, -0.2, 0.9)
+    coefs = tg.coefficients((0.1, 0.5, 0.9))
+    tg.combination(weights, coefs, 0.01, out=buf)   # warm up
     tracemalloc.start()
     try:
-        out = tg.combination(weights, times, 0.01, out=buf)
+        plane, line = tg.combination(weights, coefs, 0.01, out=buf)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out is buf
-    assert peak < 0.25 * buf.nbytes
-    np.testing.assert_array_equal(out, tg.combination(weights, times, 0.01))
+    assert plane is buf
+    assert (plane.shape, line.shape) == ((48, 48, 1), (1, 1, 48))
+    assert peak < 0.25 * buf.nbytes * grid.sizes[2]  # of one full array
+    fresh = tg.combination(weights, coefs, 0.01)
+    np.testing.assert_array_equal(plane, fresh[0])
+    np.testing.assert_array_equal(line, fresh[1])
+
+
+def test_combination_is_one_plane_in_two_dimensions():
+    tg = TrapOnGrid(TRAP, GRID)
+    plane, line = tg.combination((1.0,), tg.coefficients((0.4,)))
+    assert plane.shape == GRID.sizes and line is None
 
 
 @pytest.mark.parametrize("trap,grid", [
@@ -160,9 +180,9 @@ def test_combination_shift_adds_in_plane_square(rng, trap, grid):
     weights = rng.standard_normal(3)
     times = [0.1, 0.9, 2.2]
     x = grid.coordinates()
-    expected = tg.combination(weights, times) + 0.37 * (x[0] ** 2
-                                                         + x[1] ** 2)
-    got = tg.combination(weights, times, shift=0.37)
+    expected = _potential(tg, weights, times) + 0.37 * (x[0] ** 2
+                                                        + x[1] ** 2)
+    got = _potential(tg, weights, times, shift=0.37)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
