@@ -11,12 +11,13 @@ stepsizes are checked before any run starts.
 
 import csv
 import logging
-import os
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .integrators import DivergenceError, evolve, method_order
+from .spectral import cpu_count, transform_workers
 
 __all__ = ["ConvergenceRow", "StudyResult", "check_methods",
            "check_stepsizes", "convergence_study", "self_convergence",
@@ -95,7 +96,10 @@ def _run_one(cfg, method, n_steps):
 
 
 def _pool_size(cfg, requested=None):
-    return requested or cfg.workers or os.cpu_count() or 1
+    """Concurrent runs: the requested count, else the config's, else one per
+    CPU, cut so that the runs times their transform threads fit the CPUs."""
+    fits = max(1, cpu_count() // transform_workers(math.prod(cfg.sizes)))
+    return min(requested or cfg.workers or fits, fits)
 
 
 def convergence_study(cfg, methods, stepsizes, workers=None, csv_path=None):

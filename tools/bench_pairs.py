@@ -1,7 +1,8 @@
 """Alternating before/after runs of the benchmark, summarised in BENCH_<n>.json.
 
 Runs ``perfbench/run.py`` on two trees: a base revision, extracted with
-``git archive`` into a temporary directory, and the working tree.  For each
+``git archive`` into a temporary directory, and the working tree (or, with
+``--change``, a second extracted revision).  For each
 workload it runs N pairs, alternating which side goes first, and records per
 side and metric the median and quartiles, and per metric the number of pairs
 the working tree won.  Run from the repo root, for example:
@@ -10,8 +11,9 @@ the working tree won.  Run from the repo root, for example:
         --workloads linear-3d --seed 0 --seconds 30 --trace 0
 
 Results are merged into ``BENCH_<number>.json`` at the repo root under the
-key ``<workload>-seed<seed>-trace<trace>``, so separate invocations (other
-workloads, seeds or the traced runs) add to one file.
+key ``<workload>-seed<seed>-trace<trace>``, followed by ``-<label>`` if
+``--label`` is given, so separate invocations (other workloads, seeds, the
+traced runs or other revisions) add to one file.
 """
 
 import argparse
@@ -36,6 +38,7 @@ def _git(*args):
 def extract(rev, dest):
     """Write the tree of ``rev`` into ``dest``; returns its full sha."""
     sha = _git("rev-parse", rev)
+    os.makedirs(dest, exist_ok=True)
     archive = os.path.join(dest, "tree.tar")
     subprocess.run(["git", "-C", ROOT, "archive", "-o", archive, sha],
                    check=True)
@@ -91,13 +94,14 @@ def bench(trees, workload, seed, seconds, trace, pairs, better):
     return entry
 
 
-def environment(base_sha):
+def environment(base_sha, change_sha=None):
     import numpy
     import scipy
 
-    return {"base_sha": base_sha, "change_sha": _git("rev-parse", "HEAD"),
-            "change_dirty": bool(_git("status", "--porcelain",
-                                      "--untracked-files=no")),
+    return {"base_sha": base_sha,
+            "change_sha": change_sha or _git("rev-parse", "HEAD"),
+            "change_dirty": change_sha is None and bool(
+                _git("status", "--porcelain", "--untracked-files=no")),
             "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(), "numpy": numpy.__version__,
             "scipy": scipy.__version__, "machine": platform.machine()}
@@ -115,6 +119,11 @@ def main(argv=None):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    p.add_argument("--change", default=None,
+                   help="git revision to run as the change side "
+                        "(default: the working tree)")
+    p.add_argument("--label", default="",
+                   help="suffix for this run's key in the record")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
@@ -133,13 +142,19 @@ def main(argv=None):
             record = json.load(fh)
     scratch = tempfile.mkdtemp(prefix="bench-pairs-")
     try:
-        base_sha, base_tree = extract(args.base, scratch)
-        trees = {"base": base_tree, "change": ROOT}
+        base_sha, base_tree = extract(args.base, os.path.join(scratch, "b"))
+        change_sha, change_tree = None, ROOT
+        if args.change:
+            change_sha, change_tree = extract(args.change,
+                                              os.path.join(scratch, "c"))
+        trees = {"base": base_tree, "change": change_tree}
+        suffix = f"-{args.label}" if args.label else ""
         for w in workloads:
             entry = bench(trees, w, args.seed, args.seconds, args.trace,
                           args.pairs, better)
-            entry["environment"] = environment(base_sha)
-            record["runs"][f"{w}-seed{args.seed}-trace{args.trace}"] = entry
+            entry["environment"] = environment(base_sha, change_sha)
+            record["runs"][f"{w}-seed{args.seed}-trace{args.trace}{suffix}"] \
+                = entry
             with open(path, "w") as fh:
                 json.dump(record, fh, indent=1, sort_keys=True)
                 fh.write("\n")

@@ -1,12 +1,12 @@
-"""Compare final `evolve` states of a base revision and the working tree.
+"""Compare `evolve` states of a base revision and the working tree.
 
 Extracts the base revision with ``bench_pairs.extract`` and runs the same
 cases on both trees, each in its own Python subprocess importing that
-tree's ``src``: every method at theta 0 and 10, on a 32^2 and a 16^3 grid.
-Prints per case the largest pointwise difference relative to the largest
-modulus of the base state, and whether the two arrays are equal bit for
-bit.  Exits 1 if any case differs by more than 1e-12.  Run from the repo
-root, for example:
+tree's ``src``: every method at theta 0 and 10, on a 32^2 and a 16^3 grid,
+each giving its final state and a snapshot half-way.  Prints per array the
+largest pointwise difference relative to the largest modulus of the base
+state, and whether the two arrays are equal bit for bit.  Exits 1 if any
+array differs by more than 1e-12.  Run from the repo root, for example:
 
     python3 tools/compare_states.py HEAD~1
 """
@@ -41,9 +41,11 @@ for dim, size in ((2, 32), (3, 16)):
                   "rotating")
     for theta in (0.0, 10.0):
         for method in METHODS:
-            res = evolve(start, trap, theta, method, 0.2, 4)
-            states[f"{method} theta={theta:g} {size}^{dim}"] = \\
-                res.field.values
+            res = evolve(start, trap, theta, method, 0.2, 4,
+                         snapshot_times=(0.1,))
+            key = f"{method} theta={theta:g} {size}^{dim}"
+            states[key] = res.field.values
+            states[key + " t=0.1"] = res.snapshots[0].values
 np.savez(sys.argv[1], **states)
 """
 
@@ -74,7 +76,7 @@ def main(argv=None):
         new = change[key]
         rel = float(np.abs(new - ref).max() / np.abs(ref).max())
         worst = max(worst, rel)
-        print(f"  {key:28s} max rel diff {rel:.2e}  "
+        print(f"  {key:34s} max rel diff {rel:.2e}  "
               f"array_equal {np.array_equal(new, ref)}")
     ok = worst <= TOL
     print(f"{len(base)} cases, worst {worst:.2e} "
