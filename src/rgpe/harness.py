@@ -11,13 +11,12 @@ stepsizes are checked before any run starts.
 
 import csv
 import logging
-import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .integrators import DivergenceError, evolve, method_order
-from .spectral import cpu_count, transform_workers
 
 __all__ = ["ConvergenceRow", "StudyResult", "check_methods",
            "check_stepsizes", "convergence_study", "self_convergence",
@@ -96,10 +95,7 @@ def _run_one(cfg, method, n_steps):
 
 
 def _pool_size(cfg, requested=None):
-    """Concurrent runs: the requested count, else the config's, else one per
-    CPU, cut so that the runs times their transform threads fit the CPUs."""
-    fits = max(1, cpu_count() // transform_workers(math.prod(cfg.sizes)))
-    return min(requested or cfg.workers or fits, fits)
+    return requested or cfg.workers or os.cpu_count() or 1
 
 
 def convergence_study(cfg, methods, stepsizes, workers=None, csv_path=None):

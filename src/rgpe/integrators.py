@@ -99,10 +99,10 @@ def make_stepper(method, trap_grid, theta):
     """Return step(values, t, h) -> values advancing one step from time t.
 
     The stepper owns the scratch arrays its kernels run in, the stage
-    potential's plane buffer among them, so it belongs to one thread.  Each
-    step evaluates the trap's coefficients once per node and copies its
-    input once, working on the copy in place: the caller's array is never
-    written, and every returned state is a fresh array.
+    potential's plane among them, so it belongs to one thread.  Each step
+    evaluates the trap once per node and copies its input once, working on
+    the copy in place: the caller's array is never written, and every
+    returned state is a fresh array.
     """
     (nodes, _, stages), inner = _parse(method)
     grid = trap_grid.grid

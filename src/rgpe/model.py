@@ -94,12 +94,9 @@ class Trap:
 
 class TrapOnGrid:
     """A trap on a grid; holds only the sparse coordinate vectors and their
-    squares, and builds each field on request from its coefficients.
-
-    The trap rotates in the (xi_1, xi_2) plane only, so a stage potential is
-    separable: an in-plane quadratic on ``plane_shape``, (M1, M2) in 2-D and
-    (M1, M2, 1) in 3-D, plus in 3-D a fixed axial term on a (1, 1, M3) line.
-    """
+    squares, and builds each field on request from its coefficients.  The
+    in-plane part of a field lives on ``plane_shape``: (M1, M2), or
+    (M1, M2, 1) in 3-D."""
 
     def __init__(self, trap, grid):
         if trap.dim != grid.dim:
@@ -116,13 +113,13 @@ class TrapOnGrid:
         return [self.trap.quad_coefficients(t) for t in times]
 
     def combination(self, weights, coefficients, shift=0.0, out=None):
-        """sum_k weights[k] W(., t_k) + shift (xi_1^2 + xi_2^2) as (plane,
-        line), where ``coefficients[k]`` are W's at t_k (:meth:`coefficients`).
+        """sum_k weights[k] W(., t_k) + shift (xi_1^2 + xi_2^2), given W's
+        :meth:`coefficients` at the t_k, summed on the coefficients.
 
-        The forms are summed on their coefficients.  The in-plane quadratic
-        is written into ``out`` (``plane_shape``, allocated if None) and
-        returned as the plane; the line is the axial term on (1, 1, M3) in
-        3-D and None in 2-D, where the plane is the whole potential.
+        Returns (plane, line): the in-plane quadratic, written into ``out``
+        (allocated if None), and the axial term on (1, 1, M3) in 3-D, None
+        in 2-D.  The trap rotates in the (xi_1, xi_2) plane only, so their
+        broadcast sum is the whole field.
         """
         c11, c22, c12, *c33 = (sum(w * c[i] for w, c in zip(weights,
                                                             coefficients))

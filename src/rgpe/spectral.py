@@ -17,21 +17,12 @@ import numpy as np
 from scipy import fft as _fft
 
 __all__ = ["Grid", "Field", "check_spacings", "kinetic_flow", "write_field",
-           "read_field", "THREADED_TRANSFORM_POINTS", "cpu_count",
-           "transform_workers"]
+           "read_field"]
 
 _MAGIC = b"RGPE"
 _VERSION = 1
 _FRAME_CODES = {"rotating": 0, "lab": 1}
 _FRAME_NAMES = {v: k for k, v in _FRAME_CODES.items()}
-
-# Transforms of at least this many points run on every CPU the process may
-# use; smaller ones on one.  pocketfft hands whole 1-D transforms to its
-# threads, so the result is the same bit for bit either way.  Measured as
-# the time of one transform pair, two threads over one, on 2 shared vCPUs:
-# 64^2 1.8, 128^2 0.9-1.4, 32^3 1.0-1.4, 256^2 0.8-1.0, 48^3 0.6,
-# 256 x 512 and 64 x 64 x 32 (2^17 points) 0.7-0.8, 64^3 0.55.
-THREADED_TRANSFORM_POINTS = 2 ** 17
 
 
 class Grid:
@@ -125,38 +116,22 @@ def check_spacings(spacings):
                          "largest |k|^2 overflows")
 
 
-def cpu_count():
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
-def transform_workers(points):
-    """Threads for a transform of ``points`` points: every CPU from
-    :func:`cpu_count` from ``THREADED_TRANSFORM_POINTS`` on, else one."""
-    return cpu_count() if points >= THREADED_TRANSFORM_POINTS else 1
-
-
 def kinetic_flow(grid, values, tau, b=1.0):
     """Apply exp(i b tau Laplacian / 2), i.e. the free flow of -b Laplacian/2.
 
     Works in place: ``values``, a complex128 array, is overwritten with the
-    result and returned.  Costs exactly one transform pair, run on
-    ``transform_workers(values.size)`` threads.  ``b`` is the kinetic
-    coefficient of the current stage; negative values are legitimate
+    result and returned.  Costs exactly one transform pair.  ``b`` is the
+    kinetic coefficient of the current stage; negative values are legitimate
     (several schemes use backward fractional steps).
     """
     if values.dtype != np.complex128:
         raise TypeError(f"kinetic_flow works in place on complex128 arrays, "
                         f"got {values.dtype}")
-    workers = transform_workers(values.size)
     # both transforms write into the memory of values
-    hat = _fft.fftn(values, overwrite_x=True, workers=workers)
+    hat = _fft.fftn(values, overwrite_x=True)
     for factor in grid.kinetic_phase(b * tau):
         np.multiply(hat, factor, out=hat)
-    _fft.ifftn(hat, overwrite_x=True, workers=workers)
+    _fft.ifftn(hat, overwrite_x=True)
     return values
 
 

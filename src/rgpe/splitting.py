@@ -63,15 +63,14 @@ def potential_flow(values, tau, potential, theta=0.0, work=None, line=None):
     """Exact flow of i u_t = (P + theta |u|^2) u over tau.
 
     |u| is pointwise invariant, so freezing the density makes this exact,
-    not an approximation.  P is ``potential`` plus, if given, ``line``; both
-    broadcast to ``values``, so P can be a stage's plane and axial line
-    (``TrapOnGrid.combination``).  Works in place: ``values`` is
-    overwritten with the result and returned.  ``work`` is a
-    :func:`workspace`; its first two buffers are used, and afterwards
-    ``work[1]`` holds the phase factor exp(-i tau (P + theta |u|^2)).
-    Without one, a workspace is allocated.  At theta = 0 with a line, the
-    factor is the product of the plane's and the line's, so cos and sin run
-    on M1 M2 + M3 points rather than on the whole grid.
+    not an approximation.  P is ``potential`` plus, if given, ``line``, both
+    broadcast to ``values``: a stage's plane and axial line from
+    ``TrapOnGrid.combination``.  Works in place: ``values`` is overwritten
+    with the result and returned.  ``work`` is a :func:`workspace`; its
+    first two buffers are used, and afterwards ``work[1]`` holds the phase
+    factor exp(-i tau (P + theta |u|^2)).  Without one, a workspace is
+    allocated.  At theta = 0 that factor is the plane's times the line's,
+    so cos and sin run on M1 M2 + M3 points, not on the whole grid.
     """
     if work is None:
         work = workspace(values.shape)

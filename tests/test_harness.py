@@ -6,7 +6,6 @@ import math
 import pytest
 
 import rgpe.harness as harness
-import rgpe.spectral as spectral
 from rgpe.cli import main
 from rgpe.config import RunConfig
 from rgpe.harness import (CSV_HEADER, ConvergenceRow, StudyResult,
@@ -18,22 +17,6 @@ from rgpe.spectral import read_field
 
 TINY = dict(half_widths=(3.5, 3.5), sizes=(8, 8), theta=0.0, t_final=1.0,
             reference_factor=5, reference_method="bbk+rkn116", seed=7)
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-@pytest.mark.parametrize("requested", [None, 1, 4, 64])
-@pytest.mark.parametrize("sizes", [(64, 64), (256, 512), (64, 64, 64)])
-def test_pool_times_transform_threads_fit_the_cpus(cpus, requested, sizes,
-                                                   monkeypatch):
-    for module in (spectral, harness):
-        monkeypatch.setattr(module, "cpu_count", lambda: cpus)
-    cfg = RunConfig().with_overrides(dim=len(sizes), sizes=sizes)
-    pool = harness._pool_size(cfg, requested)
-    threads = spectral.transform_workers(math.prod(sizes))
-    assert 1 <= pool and pool * threads <= cpus
-    assert pool <= (requested or cpus)
-    if cpus >= 2 and sizes == (64, 64):
-        assert pool == min(requested or cpus, cpus)
 
 
 def test_steps_for_rounds_exactly():

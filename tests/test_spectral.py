@@ -4,11 +4,8 @@ import struct
 
 import numpy as np
 import pytest
-import scipy.fft
 
-import rgpe.spectral as spectral
-from rgpe.spectral import (THREADED_TRANSFORM_POINTS, Field, Grid,
-                           kinetic_flow, read_field, write_field)
+from rgpe.spectral import Field, Grid, kinetic_flow, read_field, write_field
 
 
 def test_spacing_is_exact():
@@ -123,28 +120,6 @@ def test_kinetic_flow_works_in_place(rng):
     np.testing.assert_allclose(out, expected, atol=1e-13)
     with pytest.raises(TypeError, match="complex128"):
         kinetic_flow(grid, v.real.copy(), 0.3)
-
-
-def test_transform_threads_follow_the_grid_size(monkeypatch):
-    monkeypatch.setattr(spectral, "cpu_count", lambda: 8)
-    assert spectral.transform_workers(THREADED_TRANSFORM_POINTS - 1) == 1
-    assert spectral.transform_workers(THREADED_TRANSFORM_POINTS) == 8
-    # the 2-D benchmark grids stay on one thread
-    assert spectral.transform_workers(128 * 128) == 1
-
-
-def test_threaded_kinetic_flow_equals_one_thread(rng, monkeypatch):
-    # at least two threads even on a one-CPU machine
-    monkeypatch.setattr(spectral, "cpu_count", lambda: 2)
-    grid = Grid(3, (3.0, 4.0, 5.0), (64, 64, 32))
-    assert grid.sizes[0] * grid.sizes[1] * grid.sizes[2] \
-        >= THREADED_TRANSFORM_POINTS
-    v = _random_field(grid, rng)
-    hat = scipy.fft.fftn(v, workers=1)
-    for factor in grid.kinetic_phase(0.3):
-        hat = hat * factor
-    expected = scipy.fft.ifftn(hat, workers=1)
-    assert np.array_equal(kinetic_flow(grid, v, 0.3), expected)
 
 
 @pytest.mark.parametrize("half_widths,sizes", [
