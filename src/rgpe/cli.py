@@ -33,18 +33,17 @@ def _bundled(name):
 def _load_config(args):
     cfg = parse_config(args.config) if args.config else RunConfig()
     over = {}
-    for key in ("theta", "dim", "workers", "out_dir"):
+    for key in ("theta", "dim", "workers"):
         if getattr(args, key, None) is not None:
             over[key] = getattr(args, key)
+    over["out_dir"] = (args.out_dir or cfg.out_dir
+                       or os.environ.get("RGPE_OUT", "."))
     if isinstance(getattr(args, "steps", None), int):
         over["n_steps"] = args.steps
     if getattr(args, "snapshot_times", None) is not None:
         over["snapshot_times"] = tuple(
             float(s) for s in args.snapshot_times.split(","))
-    cfg = cfg.with_overrides(**over)
-    if not cfg.out_dir:
-        cfg = cfg.with_overrides(out_dir=os.environ.get("RGPE_OUT", "."))
-    return cfg
+    return cfg.with_overrides(**over)
 
 
 def _echo_config(cfg):
@@ -77,6 +76,16 @@ def _stepsizes(cfg, args, self_convergence=False):
 
 def _snapshot_name(time):
     return f"state-t{time:g}.field"
+
+
+def _print_order(method, label, hs, es, note=""):
+    """Print the order observed over a study's errors es at stepsizes hs."""
+    try:
+        slope = oracle.observed_order(hs, es, floor=1e-13)
+    except ValueError:
+        print(f"{method:16s} {label} n/a")
+        return
+    print(f"{method:16s} {label} {slope:5.2f}{note}")
 
 
 def cmd_simulate(args):
@@ -120,12 +129,7 @@ def cmd_converge(args):
           f"steps (norm {study.reference_norm:.12g}, self-check "
           f"{study.self_check_distance:.3e})")
     for m in methods:
-        hs, es = study.errors_for(m)
-        try:
-            slope = oracle.observed_order(hs, es, floor=1e-13)
-            print(f"{m:16s} observed order {slope:5.2f}")
-        except ValueError:
-            print(f"{m:16s} observed order n/a")
+        _print_order(m, "observed order", *study.errors_for(m))
     print(f"rows written to {csv_path}")
     return EXIT_OK
 
@@ -139,14 +143,10 @@ def cmd_self_converge(args):
         csv_path = os.path.join(cfg.out_dir,
                                 f"self-convergence-{m.replace('+', '-')}.csv")
         rows = harness.self_convergence(cfg, m, stepsizes, csv_path=csv_path)
-        hs = [r.h for r in rows if not r.diverged]
-        es = [r.l2_error for r in rows if not r.diverged]
-        try:
-            slope = oracle.observed_order(hs, es, floor=1e-13)
-            print(f"{m:16s} self-convergence order {slope:5.2f} "
-                  f"(nominal {method_order(m)})")
-        except ValueError:
-            print(f"{m:16s} self-convergence order n/a")
+        kept = [r for r in rows if not r.diverged]
+        _print_order(m, "self-convergence order", [r.h for r in kept],
+                     [r.l2_error for r in kept],
+                     f" (nominal {method_order(m)})")
     return EXIT_OK
 
 

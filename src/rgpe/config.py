@@ -9,19 +9,13 @@ import configparser
 import math
 import os
 from dataclasses import dataclass, fields, replace
+from typing import get_args
 
-from .integrators import method_order
+from .integrators import method_order, step_grid
 from .model import Trap, gaussian_state, vortex_state
-from .spectral import Field, Grid, check_spacings
+from .spectral import Field, Grid
 
 __all__ = ["RunConfig", "parse_config", "write_config", "config_text"]
-
-_LIST_KEYS = {"half_widths", "sizes", "gammas", "gaussian_weights",
-              "stepsizes", "snapshot_times"}
-_INT_KEYS = {"dim", "n_steps", "reference_factor", "seed", "workers"}
-_FLOAT_KEYS = {"t0", "t_final", "omega", "theta"}
-_STR_KEYS = {"initial_state", "method", "reference_method", "out_dir"}
-_ALL_KEYS = _LIST_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
 _DEFAULTS_3D = {"half_widths": (10.0, 10.0, 10.0), "sizes": (64, 64, 64),
                 "gammas": (0.8, 1.2, 1.0), "gaussian_weights": (1.1, 0.9, 1.0)}
@@ -29,50 +23,50 @@ _DEFAULTS_3D = {"half_widths": (10.0, 10.0, 10.0), "sizes": (64, 64, 64),
 
 @dataclass
 class RunConfig:
-    """Everything one run needs; defaults reproduce the 2-D benchmark."""
+    """Everything one run needs; defaults reproduce the 2-D benchmark.
+
+    The field types are the config file's schema: a ``tuple[T, ...]`` key
+    is a list of T.
+    """
 
     dim: int = 2
-    half_widths: tuple = (10.0, 10.0)
-    sizes: tuple = (64, 64)
+    half_widths: tuple[float, ...] = (10.0, 10.0)
+    sizes: tuple[int, ...] = (64, 64)
     t0: float = 0.0
     t_final: float = 4.0
     n_steps: int = 256
-    stepsizes: tuple = ()
+    stepsizes: tuple[float, ...] = ()
     omega: float = 0.5
-    gammas: tuple = (0.8, 1.2)
+    gammas: tuple[float, ...] = (0.8, 1.2)
     theta: float = 1.0
     initial_state: str = "gaussian"
-    gaussian_weights: tuple = (1.1, 0.9)
+    gaussian_weights: tuple[float, ...] = (1.1, 0.9)
     method: str = "cf6af+rkn116"
     reference_method: str = "bbk+rkn116"
     reference_factor: int = 10
-    snapshot_times: tuple = ()
+    snapshot_times: tuple[float, ...] = ()
     out_dir: str = ""
     seed: int = 1234
     workers: int = 0  # 0 = available parallelism
 
     def validate(self):
-        if self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
-        for key in sorted(_FLOAT_KEYS | _LIST_KEYS):
-            val = getattr(self, key)
-            if not all(map(math.isfinite, val if key in _LIST_KEYS
-                           else (val,))):
-                raise ValueError(f"{key} must be finite, got {val}")
-        for key in ("gammas", "gaussian_weights"):
-            # the trap and the Gaussian start state square these values
-            if not all(math.isfinite(v * v) for v in getattr(self, key)):
-                raise ValueError(f"{key} must have finite squares, "
-                                 f"got {getattr(self, key)}")
-        for key in ("half_widths", "sizes", "gammas"):
-            if len(getattr(self, key)) != self.dim:
-                raise ValueError(f"{key} must list one value per dimension "
-                                 f"(dim = {self.dim})")
-        if any(m < 4 or m % 2 for m in self.sizes):
-            raise ValueError(f"grid sizes must be even and >= 4, "
-                             f"got {self.sizes}")
-        check_spacings(tuple(2.0 * L / m
-                             for L, m in zip(self.half_widths, self.sizes)))
+        """Check every setting before any step runs; returns self.  Grid and
+        Trap check their own parameters, and ``step_grid`` the steps and
+        snapshot times."""
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if (f.type is float or get_args(f.type)) and not all(
+                    map(math.isfinite, val if get_args(f.type) else (val,))):
+                raise ValueError(f"{f.name} must be finite, got {val}")
+        # the Gaussian start state squares these values
+        if not all(math.isfinite(v * v) for v in self.gaussian_weights):
+            raise ValueError(f"gaussian_weights must have finite squares, "
+                             f"got {self.gaussian_weights}")
+        Grid(self.dim, self.half_widths, self.sizes)
+        trap = Trap(self.gammas, self.omega)
+        if trap.dim != self.dim:
+            raise ValueError(f"gammas must list one value per dimension "
+                             f"(dim = {self.dim})")
         if self.initial_state == "gaussian":
             if len(self.gaussian_weights) != self.dim:
                 raise ValueError("gaussian_weights must list one value per "
@@ -86,22 +80,15 @@ class RunConfig:
                 "(expected 'gaussian' or 'vortex')")
         if not self.t_final > self.t0:
             raise ValueError("t_final must exceed t0")
-        span, angles = self.t_final - self.t0, (self.omega * self.t0,
-                                                 self.omega * self.t_final)
+        span, angles = self.t_final - self.t0, (trap.angle(self.t0),
+                                                 trap.angle(self.t_final))
         if not all(map(math.isfinite, (span, *angles))):
             raise ValueError(f"the time span {span} and the rotation angles "
                              f"omega * t0, omega * t_final {angles} must be "
                              "finite")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        if any(g <= 0 for g in self.gammas):
-            raise ValueError("trap frequencies gammas must be positive")
+        step_grid(self.t0, self.t_final, self.n_steps, self.snapshot_times)
         if any(h <= 0 for h in self.stepsizes):
             raise ValueError("stepsizes must be positive")
-        for ts in self.snapshot_times:
-            if not (self.t0 <= ts <= self.t_final):
-                raise ValueError(f"snapshot time {ts} outside "
-                                 f"[{self.t0}, {self.t_final}]")
         if self.reference_factor < 5:
             raise ValueError("reference_factor must be >= 5 so the reference "
                              "is clearly finer than the finest run")
@@ -134,15 +121,16 @@ class RunConfig:
         return replace(self, **kw).validate()
 
 
-def _parse_value(key, text):
-    if key in _LIST_KEYS:
-        parts = text.replace(",", " ").split()
-        return tuple(int(p) if key == "sizes" else float(p) for p in parts)
-    if key in _INT_KEYS:
-        return int(text)
-    if key in _FLOAT_KEYS:
-        return float(text)
-    return text.strip()
+_SCHEMA = {f.name: f.type for f in fields(RunConfig)}
+
+
+def _parse_value(kind, text):
+    """A config value as the field type ``kind``; lists split on commas or
+    whitespace."""
+    item = get_args(kind)
+    if item:
+        return tuple(map(item[0], text.replace(",", " ").split()))
+    return kind(text)
 
 
 def parse_config(path):
@@ -160,9 +148,9 @@ def parse_config(path):
                          f"got {cp.sections()}")
     kw = {}
     for key, text in cp.items("run"):
-        if key not in _ALL_KEYS:
+        if key not in _SCHEMA:
             raise ValueError(f"{path}: unknown config key {key!r}")
-        kw[key] = _parse_value(key, text)
+        kw[key] = _parse_value(_SCHEMA[key], text)
     return RunConfig(**kw).validate()
 
 
@@ -171,7 +159,7 @@ def config_text(cfg):
     lines = ["[run]"]
     for f in fields(RunConfig):
         val = getattr(cfg, f.name)
-        if f.name in _LIST_KEYS:
+        if get_args(f.type):
             val = ", ".join(repr(v) for v in val)
         lines.append(f"{f.name} = {val}")
     return "\n".join(lines) + "\n"

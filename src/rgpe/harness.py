@@ -6,7 +6,11 @@ against a twice-finer run.  Work is reported in transform pairs (one forward
 plus one inverse FFT), a run's being its step count times its method's fixed
 ``pairs_per_step``; wall time is recorded for curiosity but is
 machine-dependent and never part of any assertion.  Methods and
-stepsizes are checked before any run starts.
+stepsizes are checked before any run starts.  In both studies a run that
+diverges, or whose reference diverges, is kept as a row with an infinite
+error, never dropped.  Only a convergence study's shared reference and its
+self-check run abort the study, with :class:`DivergenceError`, if they
+diverge.
 """
 
 import csv
@@ -105,7 +109,6 @@ def convergence_study(cfg, methods, stepsizes, workers=None, csv_path=None):
     method name to its own list.  The reference is ``cfg.reference_method``
     at the finest requested stepsize divided by ``cfg.reference_factor``,
     cross-checked against a twice-finer run before any error is trusted.
-    Diverged runs are kept as rows with an infinite error, never dropped.
     """
     check_methods(methods)
     span = cfg.t_final - cfg.t0
@@ -143,28 +146,9 @@ def convergence_study(cfg, methods, stepsizes, workers=None, csv_path=None):
                 f"{check_distance:.3e} (>= 1e-9); the study cannot be "
                 f"trusted at this resolution")
 
-        rows = []
-        for (m, n) in jobs:
-            h = span / n
-            try:
-                res, wall = futs[(m, n)].result()
-            except DivergenceError as exc:
-                log.warning("%s at h=%g diverged: %s", m, h, exc)
-                rows.append(ConvergenceRow(m, h, n, float("inf"), 0, 0.0,
-                                           diverged=True))
-                continue
-            rows.append(ConvergenceRow(m, h, n,
-                                       res.field.distance(ref.field),
-                                       res.transform_pairs, wall,
-                                       norm_drift=res.norm_drift
-                                       / res.norm_initial))
-
-    rows.sort(key=lambda r: (r.method, r.h))
-    out = StudyResult(rows, cfg.reference_method, n_ref, ref.norm_final,
-                      check_distance)
-    if csv_path:
-        write_rows(rows, csv_path)
-    return out
+        rows = [_row(m, span / n, n, futs[(m, n)], ref_fut) for m, n in jobs]
+    return StudyResult(_finish(rows, csv_path), cfg.reference_method, n_ref,
+                       ref.norm_final, check_distance)
 
 
 def self_convergence(cfg, method, stepsizes, workers=None, csv_path=None):
@@ -182,13 +166,32 @@ def self_convergence(cfg, method, stepsizes, workers=None, csv_path=None):
         coarse = {n: pool.submit(_run_one, cfg, method, n) for n in counts}
         fine = {n: pool.submit(_run_one, cfg, method, factor * n)
                 for n in counts}
-        rows = []
-        for n in sorted(counts, reverse=True):
-            res, wall = coarse[n].result()
-            ref, _ = fine[n].result()
-            rows.append(ConvergenceRow(method, span / n, n,
-                                       res.field.distance(ref.field),
-                                       res.transform_pairs, wall))
+        rows = [_row(method, span / n, n, coarse[n], fine[n]) for n in counts]
+    return _finish(rows, csv_path)
+
+
+def _row(method, h, n_steps, run, ref):
+    """The study row of one run: ``run`` and ``ref`` are futures of
+    :func:`_run_one`, and the error is the distance between their final
+    states.  If either diverged, the row is kept with an infinite error."""
+    try:
+        res, wall = run.result()
+        ref_field = ref.result()[0].field
+    except DivergenceError as exc:
+        other = ref.exception()  # unread if run diverged; other errors surface
+        if other is not None and not isinstance(other, DivergenceError):
+            raise other
+        log.warning("%s at h=%g diverged: %s", method, h, exc)
+        return ConvergenceRow(method, h, n_steps, float("inf"), 0, 0.0,
+                              diverged=True)
+    return ConvergenceRow(method, h, n_steps, res.field.distance(ref_field),
+                          res.transform_pairs, wall,
+                          norm_drift=res.norm_drift / res.norm_initial)
+
+
+def _finish(rows, csv_path):
+    """Sort a study's rows by method and stepsize and write them to
+    ``csv_path``, if given."""
     rows.sort(key=lambda r: (r.method, r.h))
     if csv_path:
         write_rows(rows, csv_path)

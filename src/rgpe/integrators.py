@@ -98,8 +98,8 @@ def method_checksum(method):
 def make_stepper(method, trap_grid, theta):
     """Return step(values, t, h) -> values advancing one step from time t.
 
-    The stepper owns the scratch arrays its kernels run in, the stage
-    potential's plane among them, so it belongs to one thread.  Each step
+    The stepper owns the scratch arrays its kernels run in, a workspace and
+    the stage potential's plane, so it belongs to one thread.  Each step
     evaluates the trap once per node and copies its input once, working on
     the copy in place: the caller's array is never written, and every
     returned state is a fresh array.
@@ -161,36 +161,47 @@ class EvolveResult:
 CHECK_EVERY = 16  # steps between norm checks
 
 
-def evolve(start, trap, theta, method, t_final, n_steps, snapshot_times=()):
-    """Propagate a Field to t_final in n_steps fixed steps of one method.
+def step_grid(t0, t_final, n_steps, snapshot_times=()):
+    """(h, snapshot step indices) of n_steps steps from t0 to t_final.
 
-    Snapshot times must fall on step boundaries (the stepper has no dense
-    output); a copy of the state is recorded at each.  Norm blow-up or
-    non-finite values, looked for every ``CHECK_EVERY`` steps, at snapshots
-    and at the end, raise :class:`DivergenceError`.  The reported transform
-    pairs are the method's fixed cost, ``n_steps * pairs_per_step(method)``.
+    Checks, for ``evolve`` and ``RunConfig.validate`` alike, that
+    n_steps >= 1, h != 0 and each snapshot time is on a step boundary, as
+    the stepper has no dense output.
     """
     if n_steps < 1:
-        raise ValueError("n_steps must be positive")
-    if start.frame != "rotating":
-        raise ValueError("the steppers act in the rotating frame; "
-                         "map the field before evolving")
-    grid = start.grid
-    t0 = start.time
+        raise ValueError("n_steps must be >= 1")
     h = (float(t_final) - t0) / n_steps
-    if not all(map(math.isfinite, (h, trap.angle(t0), trap.angle(t_final)))):
-        raise ValueError(f"step size {h} or rotation angle is not finite")
     if h == 0:
-        raise ValueError("t_final coincides with the field's current time")
-
-    snap_at = {}
+        raise ValueError("t_final coincides with the start time")
+    snap_at = set()
     for ts in snapshot_times:
         idx = round((float(ts) - t0) / h)
         if not (0 <= idx <= n_steps) or abs(t0 + idx * h - float(ts)) > \
                 1e-9 * max(1.0, abs(h) * n_steps):
             raise ValueError(f"snapshot time {ts} does not lie on a step "
-                             f"boundary of step size {h}")
-        snap_at.setdefault(idx, float(ts))
+                             f"boundary t0 + k h, 0 <= k <= {n_steps}, of "
+                             f"step size h = {h}")
+        snap_at.add(idx)
+    return h, snap_at
+
+
+def evolve(start, trap, theta, method, t_final, n_steps, snapshot_times=()):
+    """Propagate a Field to t_final in n_steps fixed steps of one method.
+
+    Snapshot times must fall on step boundaries (:func:`step_grid`); a copy
+    of the state is recorded at each.  Norm blow-up or non-finite values,
+    looked for every ``CHECK_EVERY`` steps, at snapshots and at the end,
+    raise :class:`DivergenceError`.  The reported transform pairs are the
+    method's fixed cost, ``n_steps * pairs_per_step(method)``.
+    """
+    if start.frame != "rotating":
+        raise ValueError("the steppers act in the rotating frame; "
+                         "map the field before evolving")
+    grid = start.grid
+    t0 = start.time
+    h, snap_at = step_grid(t0, t_final, n_steps, snapshot_times)
+    if not all(map(math.isfinite, (h, trap.angle(t0), trap.angle(t_final)))):
+        raise ValueError(f"step size {h} or rotation angle is not finite")
 
     trap_grid = TrapOnGrid(trap, grid)
     stepper = make_stepper(method, trap_grid, theta)

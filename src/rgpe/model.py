@@ -33,8 +33,8 @@ class Trap:
             raise ValueError("gammas must have length 2 or 3")
         # the coefficients square the frequencies, so the squares must be finite
         if not all(0 < g and g * g < np.inf for g in gammas):
-            raise ValueError("trap frequencies must be positive, with finite "
-                             "squares")
+            raise ValueError(f"trap frequencies must be positive, and gammas "
+                             f"must have finite squares, got {gammas}")
         rotation_rate = float(rotation_rate)
         if not np.isfinite(rotation_rate):
             raise ValueError(f"rotation rate must be finite, "

@@ -16,8 +16,7 @@ import struct
 import numpy as np
 from scipy import fft as _fft
 
-__all__ = ["Grid", "Field", "check_spacings", "kinetic_flow", "write_field",
-           "read_field"]
+__all__ = ["Grid", "Field", "kinetic_flow", "write_field", "read_field"]
 
 _MAGIC = b"RGPE"
 _VERSION = 1
@@ -50,7 +49,13 @@ class Grid:
         # spacing * M/2 == half_width holds exactly in floating point
         self.spacings = tuple(2.0 * float(L) / m
                               for L, m in zip(half_widths, sizes))
-        check_spacings(self.spacings)
+        if not all(0 < dx < np.inf for dx in self.spacings):
+            raise ValueError(f"grid spacings 2L/M must be positive and "
+                             f"finite, got {self.spacings}")
+        kmax = [np.pi / dx for dx in self.spacings]
+        if not math.isfinite(sum(k * k for k in kmax)):
+            raise ValueError(f"grid spacings {self.spacings} are too fine: "
+                             "the largest |k|^2 overflows")
         self.half_widths = tuple(dx * (m // 2)
                                  for dx, m in zip(self.spacings, sizes))
         self.axes = tuple(-L + dx * np.arange(m)
@@ -104,25 +109,15 @@ class Grid:
         return factors
 
 
-def check_spacings(spacings):
-    """Reject grid spacings dx = 2L/M that are not finite and positive, or
-    whose largest |k|^2 = sum_l (pi / dx_l)^2 overflows."""
-    if not all(0 < dx < np.inf for dx in spacings):
-        raise ValueError(f"grid spacings 2L/M must be positive and finite, "
-                         f"got {spacings}")
-    kmax = [np.pi / dx for dx in spacings]
-    if not math.isfinite(sum(k * k for k in kmax)):
-        raise ValueError(f"grid spacings {spacings} are too fine: the "
-                         "largest |k|^2 overflows")
-
-
 def kinetic_flow(grid, values, tau, b=1.0):
     """Apply exp(i b tau Laplacian / 2), i.e. the free flow of -b Laplacian/2.
 
-    Works in place: ``values``, a complex128 array, is overwritten with the
-    result and returned.  Costs exactly one transform pair.  ``b`` is the
-    kinetic coefficient of the current stage; negative values are legitimate
-    (several schemes use backward fractional steps).
+    Works in place, as do ``splitting.potential_flow`` and
+    ``apply_splitting``: ``values``, a complex128 array, is overwritten with
+    the result and returned, so pass a copy to keep the input.  Costs
+    exactly one transform pair.  ``b`` is the kinetic coefficient of the
+    current stage; negative values are legitimate (several schemes use
+    backward fractional steps).
     """
     if values.dtype != np.complex128:
         raise TypeError(f"kinetic_flow works in place on complex128 arrays, "

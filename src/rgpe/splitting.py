@@ -45,7 +45,8 @@ def workspace(shape, scheme=None, theta=0.0):
     """Scratch arrays of ``shape`` for the potential flow: a real argument
     buffer, then one complex factor buffer, or, for ``apply_splitting`` with
     the splitting ``scheme`` at theta = 0, one per distinct nonzero potential
-    weight.  A workspace belongs to one thread."""
+    weight.  A workspace belongs to one thread.  A kernel given no workspace
+    allocates its own."""
     factors = len(_FACTOR_SLOTS[scheme]) if scheme and not theta else 1
     return [np.empty(shape)] + [np.empty(shape, np.complex128)
                                 for _ in range(factors)]
@@ -65,12 +66,11 @@ def potential_flow(values, tau, potential, theta=0.0, work=None, line=None):
     |u| is pointwise invariant, so freezing the density makes this exact,
     not an approximation.  P is ``potential`` plus, if given, ``line``, both
     broadcast to ``values``: a stage's plane and axial line from
-    ``TrapOnGrid.combination``.  Works in place: ``values`` is overwritten
-    with the result and returned.  ``work`` is a :func:`workspace`; its
-    first two buffers are used, and afterwards ``work[1]`` holds the phase
-    factor exp(-i tau (P + theta |u|^2)).  Without one, a workspace is
-    allocated.  At theta = 0 that factor is the plane's times the line's,
-    so cos and sin run on M1 M2 + M3 points, not on the whole grid.
+    ``TrapOnGrid.combination``.  Works in place, like ``kinetic_flow``, in
+    the first two buffers of ``work``, a :func:`workspace`; afterwards
+    ``work[1]`` holds the phase factor exp(-i tau (P + theta |u|^2)).  At
+    theta = 0 that factor is the plane's times the line's, so cos and sin
+    run on M1 M2 + M3 points, not on the whole grid.
     """
     if work is None:
         work = workspace(values.shape)
@@ -96,18 +96,18 @@ def potential_flow(values, tau, potential, theta=0.0, work=None, line=None):
 
 def apply_splitting(grid, values, scheme, tau, potential, kinetic_coef=1.0,
                     theta=0.0, work=None, line=None):
-    """Propagate values over tau with the named splitting, in place.
+    """Propagate values over tau with the named splitting, in place, like
+    ``kinetic_flow``.
 
     ``potential`` and ``line`` are the stage potential as
     :func:`potential_flow` takes it; ``kinetic_coef`` scales the kinetic
     term (stages of the exponential integrators need fractional, sometimes
     negative, kinetic weights); ``theta`` is the cubic coefficient as seen
-    by this stage, i.e. already scaled by the kinetic weight.  ``values`` is
-    overwritten with the result and returned.  At theta = 0 the potential
-    phase is fixed for the whole call, so each distinct potential weight's
-    factor is computed once, into its own buffer of ``work``
-    (``workspace(shape, scheme, theta)``), and later visits only multiply.
-    Without ``work``, a workspace is allocated.
+    by this stage, i.e. already scaled by the kinetic weight.  At theta = 0
+    the potential phase is fixed for the whole call, so each distinct
+    potential weight's factor is computed once, into its own buffer of
+    ``work`` (``workspace(shape, scheme, theta)``), and later visits only
+    multiply.
     """
     alphas, betas = splitting_pairs(scheme)
     slots = _FACTOR_SLOTS[scheme]

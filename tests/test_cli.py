@@ -90,10 +90,12 @@ def test_missing_config_exits_2(tmp_path):
      "finite"),
     ("sizes = 8, 8\nn_steps = 2\nt0 = -1e308\nt_final = 1e308\n",
      "the time span inf and the rotation angles"),
+    ("sizes = 16, 16\nn_steps = 8\nt_final = 0.4\nsnapshot_times = 0.13\n",
+     "step boundary"),
 ], ids=["nan-theta", "inf-omega", "inf-half-width", "duplicate-key",
         "no-equals", "overflowing-gamma", "overflowing-gaussian-weight",
         "overflowing-spacing", "overflowing-wavenumber", "odd-size",
-        "overflowing-angle", "overflowing-span"])
+        "overflowing-angle", "overflowing-span", "off-grid-snapshot"])
 def test_invalid_config_exits_2(tmp_path, capsys, text, match):
     p = tmp_path / "bad.cfg"
     p.write_text("[run]\n" + text)

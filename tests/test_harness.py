@@ -94,6 +94,58 @@ def test_convergence_study_keeps_diverged_rows(tmp_path, monkeypatch):
     assert "inf" in recorded
 
 
+@pytest.mark.parametrize("diverging", [4, 20], ids=["run", "reference"])
+def test_self_convergence_keeps_diverged_rows(tmp_path, monkeypatch, capsys,
+                                              diverging):
+    # the 4-step run is checked against a 5 * 4 = 20-step reference
+    cfg = RunConfig(**TINY)
+    real_evolve = harness.evolve
+
+    def exploding(start, trap, theta, method, t_final, n_steps, **kw):
+        if n_steps == diverging:
+            raise DivergenceError("boom", time=0.5, norm=float("inf"))
+        return real_evolve(start, trap, theta, method, t_final, n_steps, **kw)
+
+    monkeypatch.setattr(harness, "evolve", exploding)
+    rows = self_convergence(cfg, "cf4+rkn74", [0.5, 0.25, 0.125, 0.0625])
+    bad = [r for r in rows if r.diverged]
+    assert len(bad) == 1 and bad[0].n_steps == 4
+    assert math.isinf(bad[0].l2_error) and bad[0].transform_pairs == 0
+    assert all(math.isfinite(r.l2_error) for r in rows if not r.diverged)
+
+    # the command fits its order over the three rows that did not diverge
+    path = tmp_path / "tiny.cfg"
+    path.write_text("[run]\nhalf_widths = 3.5, 3.5\nsizes = 8, 8\n"
+                    "theta = 0\nt_final = 1\nreference_factor = 5\n")
+    assert main(["--config", str(path), "--out", str(tmp_path / "o"),
+                 "self-converge", "--methods", "cf4+rkn74",
+                 "--steps", "2,4,8,16"]) == 0
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("cf4+rkn74") and line.endswith("(nominal 4)")
+    kept = [r for r in rows if not r.diverged]
+    slope = observed_order([r.h for r in kept], [r.l2_error for r in kept],
+                           floor=1e-13)
+    assert f"self-convergence order {slope:5.2f} (nominal 4)" in line
+
+
+def test_self_convergence_raises_other_failures(monkeypatch):
+    # a reference that fails otherwise than by diverging is not hidden by
+    # the divergence of its run
+    real_evolve = harness.evolve
+
+    def failing(start, trap, theta, method, t_final, n_steps, **kw):
+        if n_steps == 4:
+            raise DivergenceError("boom", time=0.5, norm=float("inf"))
+        if n_steps == 20:
+            raise RuntimeError("reference failed")
+        return real_evolve(start, trap, theta, method, t_final, n_steps, **kw)
+
+    monkeypatch.setattr(harness, "evolve", failing)
+    with pytest.raises(RuntimeError, match="reference failed"):
+        self_convergence(RunConfig(**TINY), "cf4+rkn74",
+                         [0.5, 0.25, 0.125, 0.0625])
+
+
 def test_studies_check_methods_before_any_run(monkeypatch):
     calls = []
     monkeypatch.setattr(harness, "evolve", lambda *a, **k: calls.append(a))
