@@ -178,7 +178,7 @@ def _row(method, h, n_steps, run, ref):
         res, wall = run.result()
         ref_field = ref.result()[0].field
     except DivergenceError as exc:
-        other = ref.exception()  # unread if run diverged; other errors surface
+        other = ref.exception()  # a failure other than divergence is raised
         if other is not None and not isinstance(other, DivergenceError):
             raise other
         log.warning("%s at h=%g diverged: %s", method, h, exc)

@@ -175,7 +175,8 @@ def step_grid(t0, t_final, n_steps, snapshot_times=()):
         raise ValueError("t_final coincides with the start time")
     snap_at = set()
     for ts in snapshot_times:
-        idx = round((float(ts) - t0) / h)
+        k = (float(ts) - t0) / h
+        idx = round(k) if math.isfinite(k) else -1
         if not (0 <= idx <= n_steps) or abs(t0 + idx * h - float(ts)) > \
                 1e-9 * max(1.0, abs(h) * n_steps):
             raise ValueError(f"snapshot time {ts} does not lie on a step "

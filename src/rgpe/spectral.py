@@ -39,10 +39,10 @@ class Grid:
             raise ValueError(f"dim must be 2 or 3, got {dim}")
         if len(half_widths) != dim or len(sizes) != dim:
             raise ValueError("half_widths and sizes must have length dim")
-        sizes = tuple(int(m) for m in sizes)
         for m in sizes:
             if m < 4 or m % 2:
                 raise ValueError(f"grid sizes must be even and >= 4, got {m}")
+        sizes = tuple(int(m) for m in sizes)
         self.dim = dim
         self.sizes = sizes
         # fix the spacing first and re-derive the half width from it, so that

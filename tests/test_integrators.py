@@ -287,6 +287,9 @@ def test_evolve_validation():
     with pytest.raises(ValueError, match="step boundary"):
         evolve(start, TRAP, 0.0, "cf2+strang", 1.0, 4,
                snapshot_times=(0.3,))
+    with pytest.raises(ValueError, match="step size h = nan"):
+        evolve(Field(grid, vals, float("nan"), "rotating"), TRAP, 0.0,
+               "cf2+strang", 1.0, 4, snapshot_times=(0.5,))
 
 
 def test_evolve_divergence_raises():
