@@ -112,12 +112,11 @@ class Grid:
 def kinetic_flow(grid, values, tau, b=1.0):
     """Apply exp(i b tau Laplacian / 2), i.e. the free flow of -b Laplacian/2.
 
-    Works in place, as do ``splitting.potential_flow`` and
-    ``apply_splitting``: ``values``, a complex128 array, is overwritten with
-    the result and returned, so pass a copy to keep the input.  Costs
-    exactly one transform pair.  ``b`` is the kinetic coefficient of the
-    current stage; negative values are legitimate (several schemes use
-    backward fractional steps).
+    Works in place: ``values``, a complex128 array, is overwritten with the
+    result and returned, so pass a copy to keep the input.  Costs exactly
+    one transform pair.  ``b`` is the kinetic coefficient of the current
+    stage; negative values are legitimate (several schemes use backward
+    fractional steps).
     """
     if values.dtype != np.complex128:
         raise TypeError(f"kinetic_flow works in place on complex128 arrays, "

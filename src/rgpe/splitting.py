@@ -66,11 +66,12 @@ def potential_flow(values, tau, potential, theta=0.0, work=None, line=None):
     |u| is pointwise invariant, so freezing the density makes this exact,
     not an approximation.  P is ``potential`` plus, if given, ``line``, both
     broadcast to ``values``: a stage's plane and axial line from
-    ``TrapOnGrid.combination``.  Works in place, like ``kinetic_flow``, in
-    the first two buffers of ``work``, a :func:`workspace`; afterwards
-    ``work[1]`` holds the phase factor exp(-i tau (P + theta |u|^2)).  At
-    theta = 0 that factor is the plane's times the line's, so cos and sin
-    run on M1 M2 + M3 points, not on the whole grid.
+    ``TrapOnGrid.combination``.  Works in place, like ``kinetic_flow``, with
+    the first two buffers of ``work``, a :func:`workspace`, as scratch;
+    afterwards ``work[1]`` holds the phase factor
+    exp(-i tau (P + theta |u|^2)).  At theta = 0 that factor is the plane's
+    times the line's, so cos and sin run on M1 M2 + M3 points, not on the
+    whole grid.
     """
     if work is None:
         work = workspace(values.shape)
@@ -96,8 +97,7 @@ def potential_flow(values, tau, potential, theta=0.0, work=None, line=None):
 
 def apply_splitting(grid, values, scheme, tau, potential, kinetic_coef=1.0,
                     theta=0.0, work=None, line=None):
-    """Propagate values over tau with the named splitting, in place, like
-    ``kinetic_flow``.
+    """Propagate values over tau with the named splitting, in place.
 
     ``potential`` and ``line`` are the stage potential as
     :func:`potential_flow` takes it; ``kinetic_coef`` scales the kinetic
