@@ -9,6 +9,7 @@ import configparser
 import math
 import os
 from dataclasses import dataclass, fields, replace
+from numbers import Integral
 from typing import get_args
 
 from .integrators import method_order, step_grid
@@ -53,16 +54,14 @@ class RunConfig:
         """Check every setting before any step runs; returns self.  Grid and
         Trap check their own parameters, and ``step_grid`` the steps and
         snapshot times."""
-        for f in fields(self):
-            val = getattr(self, f.name)
-            if (f.type is float or get_args(f.type)) and not all(
-                    map(math.isfinite, val if get_args(f.type) else (val,))):
-                raise ValueError(f"{f.name} must be finite, got {val}")
+        self._require(float, math.isfinite, "finite")
         # the Gaussian start state squares these values
         if not all(math.isfinite(v * v) for v in self.gaussian_weights):
             raise ValueError(f"gaussian_weights must have finite squares, "
                              f"got {self.gaussian_weights}")
         Grid(self.dim, self.half_widths, self.sizes)
+        # after Grid, which owns the sizes' rules, so 8.5 reads as not even
+        self._require(int, lambda v: isinstance(v, Integral), "an integer")
         trap = Trap(self.gammas, self.omega)
         if trap.dim != self.dim:
             raise ValueError(f"gammas must list one value per dimension "
@@ -97,6 +96,14 @@ class RunConfig:
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
         return self
+
+    def _require(self, kind, test, rule):
+        """Raise unless ``test`` holds for all items of the ``kind`` fields."""
+        for f in fields(self):
+            val, item = getattr(self, f.name), get_args(f.type)
+            if (item or (f.type,))[0] is kind and not all(
+                    map(test, val if item else (val,))):
+                raise ValueError(f"{f.name} must be {rule}, got {val}")
 
     def build(self):
         """Instantiate (grid, trap, initial field) for this configuration."""
@@ -148,9 +155,12 @@ def parse_config(path):
                          f"got {cp.sections()}")
     kw = {}
     for key, text in cp.items("run"):
-        if key not in _SCHEMA:
-            raise ValueError(f"{path}: unknown config key {key!r}")
-        kw[key] = _parse_value(_SCHEMA[key], text)
+        try:
+            kw[key] = _parse_value(_SCHEMA[key], text)
+        except KeyError:
+            raise ValueError(f"{path}: unknown config key {key!r}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: config key {key!r}: {exc}") from None
     return RunConfig(**kw).validate()
 
 
@@ -160,7 +170,7 @@ def config_text(cfg):
     for f in fields(RunConfig):
         val = getattr(cfg, f.name)
         if get_args(f.type):
-            val = ", ".join(repr(v) for v in val)
+            val = ", ".join(map(str, val))
         lines.append(f"{f.name} = {val}")
     return "\n".join(lines) + "\n"
 

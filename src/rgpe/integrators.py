@@ -26,7 +26,7 @@ from . import _tables
 from .model import TrapOnGrid
 from .spectral import Field
 from .splitting import SPLIT_ORDERS, SPLITTINGS, apply_splitting, \
-    potential_flow, splitting_pairs, workspace
+    kinetic_phases, potential_flow, splitting_pairs, workspace
 
 __all__ = ["METHODS", "OUTER_SCHEMES", "method_order", "pairs_per_step",
            "method_checksum", "make_stepper", "evolve", "EvolveResult",
@@ -98,36 +98,40 @@ def method_checksum(method):
 def make_stepper(method, trap_grid, theta):
     """Return step(values, t, h) -> values advancing one step from time t.
 
-    The stepper owns the scratch arrays its kernels run in, a workspace and
-    the stage potential's plane, so it belongs to one thread.  Each step
-    evaluates the trap once per node and copies its input once, working on
-    the copy in place: the caller's array is never written, and every
-    returned state is a fresh array.
+    The stepper owns the stage potential's plane, a workspace if theta != 0
+    and the kinetic phases of its split stages for the last h, so it belongs
+    to one thread.  Each step evaluates the trap once per node and copies
+    its input once, working on the copy in place: the caller's array is
+    never written, and every returned state is a fresh array.
     """
     (nodes, _, stages), inner = _parse(method)
     grid = trap_grid.grid
     theta = float(theta)
     corrected = any(corrects for *_, corrects in stages)
     kappa = trap_grid.trap.gradient_difference_coefficient
-    work = workspace(grid.sizes, inner, theta)
+    work = workspace(grid.sizes) if theta else None
     plane = np.empty(trap_grid.plane_shape)
+    kinetic = {}  # h -> the kinetic phases of each stage, None if b = 0
 
     def step(values, t, h):
+        if h not in kinetic:
+            kinetic.clear()
+            kinetic[h] = [kinetic_phases(grid, inner, frac * h, b) if b
+                          else None for frac, _, b, _ in stages]
         values = np.array(values, dtype=np.complex128)
         times = [t + c * h for c in nodes]
         coefs = trap_grid.coefficients(times)
         shift = (_tables.BBK_WTILDE_COEF * h * h * kappa(times[-1], times[0])
                  if corrected else 0.0)
-        for frac, row, b, corrects in stages:
+        for (frac, row, b, corrects), phases in zip(stages, kinetic[h]):
             _, line = trap_grid.combination(row, coefs,
                                             shift if corrects else 0.0,
                                             out=plane)
             if b:
-                values = apply_splitting(grid, values, inner, frac * h,
-                                         plane, b, b * theta, work, line)
+                values = apply_splitting(values, inner, frac * h, plane,
+                                         phases, b * theta, work, line)
             else:
-                values = potential_flow(values, frac * h, plane, work=work,
-                                        line=line)
+                values = potential_flow(values, frac * h, plane, line=line)
         return values
 
     return step

@@ -25,7 +25,7 @@ _FRAME_NAMES = {v: k for k, v in _FRAME_CODES.items()}
 
 
 class Grid:
-    """Uniform periodic 2-D or 3-D grid with memoized kinetic phase factors.
+    """Uniform periodic 2-D or 3-D grid; it stores nothing mutable.
 
     |k|^2 is kept as two small broadcastable pieces, the first axis as a
     column of shape (M1, 1[, 1]) and the trailing axes as a block of shape
@@ -68,7 +68,6 @@ class Grid:
         self._ksq_column = ksq[0].reshape((-1,) + (1,) * (dim - 1))
         trailing = ksq[1] if dim == 2 else ksq[1][:, None] + ksq[2]
         self._ksq_block = trailing.reshape((1,) + trailing.shape)
-        self._phase_memo = {}
 
     def __eq__(self, other):
         return (isinstance(other, Grid) and self.dim == other.dim
@@ -98,32 +97,26 @@ class Grid:
     def kinetic_phase(self, tau):
         """exp(-i tau |k|^2 / 2) as two broadcastable factors, the first
         axis's column and the trailing axes' block, whose product is the
-        full phase.  The last 64 values of tau are memoized."""
-        factors = self._phase_memo.get(tau)
-        if factors is None:
-            factors = (np.exp((-0.5j * tau) * self._ksq_column),
-                       np.exp((-0.5j * tau) * self._ksq_block))
-            if len(self._phase_memo) >= 64:
-                self._phase_memo.pop(next(iter(self._phase_memo)))
-            self._phase_memo[tau] = factors
-        return factors
+        full phase."""
+        return (np.exp((-0.5j * tau) * self._ksq_column),
+                np.exp((-0.5j * tau) * self._ksq_block))
 
 
-def kinetic_flow(grid, values, tau, b=1.0):
-    """Apply exp(i b tau Laplacian / 2), i.e. the free flow of -b Laplacian/2.
+def kinetic_flow(values, phase):
+    """Multiply the spectrum of ``values`` by the factors of ``phase``.
 
-    Works in place: ``values``, a complex128 array, is overwritten with the
-    result and returned, so pass a copy to keep the input.  Costs exactly
-    one transform pair.  ``b`` is the kinetic coefficient of the current
-    stage; negative values are legitimate (several schemes use backward
-    fractional steps).
+    With ``phase = grid.kinetic_phase(tau)`` this is exp(i tau Laplacian / 2),
+    the free flow of -Laplacian/2 over tau; tau may be negative (several
+    schemes take backward fractional steps).  Works in place: ``values``, a
+    complex128 array, is overwritten with the result and returned, so pass a
+    copy to keep the input.  Costs exactly one transform pair.
     """
     if values.dtype != np.complex128:
         raise TypeError(f"kinetic_flow works in place on complex128 arrays, "
                         f"got {values.dtype}")
     # both transforms write into the memory of values
     hat = _fft.fftn(values, overwrite_x=True)
-    for factor in grid.kinetic_phase(b * tau):
+    for factor in phase:
         np.multiply(hat, factor, out=hat)
     _fft.ifftn(hat, overwrite_x=True)
     return values

@@ -92,10 +92,13 @@ def test_missing_config_exits_2(tmp_path):
      "the time span inf and the rotation angles"),
     ("sizes = 16, 16\nn_steps = 8\nt_final = 0.4\nsnapshot_times = 0.13\n",
      "step boundary"),
+    ("n_steps = abc\n", "config key 'n_steps'"),
+    ("sizes = 64.0, 64\n", "config key 'sizes'"),
 ], ids=["nan-theta", "inf-omega", "inf-half-width", "duplicate-key",
         "no-equals", "overflowing-gamma", "overflowing-gaussian-weight",
         "overflowing-spacing", "overflowing-wavenumber", "odd-size",
-        "overflowing-angle", "overflowing-span", "off-grid-snapshot"])
+        "overflowing-angle", "overflowing-span", "off-grid-snapshot",
+        "non-integer-steps", "float-size"])
 def test_invalid_config_exits_2(tmp_path, capsys, text, match):
     p = tmp_path / "bad.cfg"
     p.write_text("[run]\n" + text)

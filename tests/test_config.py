@@ -1,5 +1,6 @@
 """Config parsing, validation, and round-tripping."""
 
+import numpy as np
 import pytest
 
 from rgpe.config import RunConfig, parse_config, write_config
@@ -80,6 +81,24 @@ def test_roundtrip(tmp_path):
     assert parse_config(path) == cfg
 
 
+@pytest.mark.parametrize("text", ["n_steps = abc", "sizes = 64.0, 64",
+                                  "theta = one"])
+def test_unparseable_value_names_key_and_path(tmp_path, text):
+    path = _write(tmp_path, f"[run]\n{text}\n")
+    key = text.split()[0]
+    with pytest.raises(ValueError, match=f"config key '{key}'") as exc:
+        parse_config(path)
+    assert path in str(exc.value)
+
+
+def test_numpy_integers_validate_and_round_trip(tmp_path):
+    cfg = RunConfig(sizes=(np.int64(8), np.int32(8)), n_steps=np.int64(4),
+                    t_final=0.5).validate()
+    path = str(tmp_path / "echo.cfg")
+    write_config(cfg, path)
+    assert parse_config(path) == cfg
+
+
 def test_with_overrides_to_3d_fills_defaults():
     cfg = RunConfig().with_overrides(dim=3)
     assert cfg.dim == 3
@@ -124,6 +143,9 @@ def test_with_overrides_ignores_none():
     (dict(sizes=(16, 16), n_steps=8, t_final=0.4, snapshot_times=(0.13,)),
      "step boundary"),
     (dict(sizes=(8.5, 8)), "grid sizes must be even"),
+    (dict(sizes=(8.0, 8.0)), r"sizes must be an integer, got \(8\.0, 8\.0\)"),
+    (dict(n_steps=4.0), "n_steps must be an integer"),
+    (dict(workers=1.5), "workers must be an integer"),
 ])
 def test_validate_rejects(kw, match):
     with pytest.raises(ValueError, match=match):

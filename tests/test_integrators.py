@@ -1,6 +1,7 @@
 """Exponential-integrator steppers: tables, stage structure, evolve driver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from rgpe.integrators import (METHODS, OUTER_SCHEMES, DivergenceError,
 from rgpe.model import Trap, TrapOnGrid, gaussian_state
 from rgpe.oracle import dense_kinetic
 from rgpe.spectral import Field, Grid
-from rgpe.splitting import apply_splitting, potential_flow
+from rgpe.splitting import apply_splitting, kinetic_phases, potential_flow
 
 TRAP = Trap((0.8, 1.2), 0.5)
 SMALL = Grid(2, (3.5, 3.5), (8, 8))
@@ -99,8 +100,8 @@ def test_cf2_stage_uses_midpoint_potential():
     t, h = 0.3, 0.05
     out = make_stepper("cf2+strang", tg, 1.0)(vals, t, h)
     pot, _ = tg.combination((1.0,), tg.coefficients((t + 0.5 * h,)))
-    expected = apply_splitting(SMALL, vals.copy(), "strang", h, pot, 1.0,
-                               1.0)
+    expected = apply_splitting(vals.copy(), "strang", h, pot,
+                               kinetic_phases(SMALL, "strang", h), 1.0)
     np.testing.assert_allclose(out, expected, atol=1e-15)
 
 
@@ -204,6 +205,57 @@ def test_step_leaves_its_input_and_returns_fresh_arrays(method, theta):
     np.testing.assert_array_equal(one, step(before, 0.3, 0.05))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("theta", [0.0, 10.0])
+@pytest.mark.parametrize("method", METHODS)
+def test_reused_stepper_matches_fresh_steppers(method, theta, dim):
+    # the kinetic phases a stepper keeps for one h must not leak into steps
+    # of another h
+    grid = Grid(dim, (3.5, 3.0, 2.5)[:dim], (8, 6, 4)[:dim])
+    tg = TrapOnGrid(Trap((0.8, 1.2, 1.1)[:dim], 0.5), grid)
+    vals = gaussian_state(grid, (1.1, 0.9, 1.0)[:dim])
+    reused = make_stepper(method, tg, theta)
+    t = 0.3
+    for h in (0.05, -0.05, 0.025, 0.05):
+        fresh = make_stepper(method, tg, theta)(vals, t, h)
+        vals = reused(vals, t, h)
+        np.testing.assert_array_equal(vals, fresh)
+        t += h
+
+
+def test_evolve_leaves_its_grid_unchanged():
+    grid = Grid(2, (8.0, 8.0), (32, 32))
+    start = Field(grid, gaussian_state(grid, (1.1, 0.9)), 0.0, "rotating")
+
+    def state():
+        return {k: len(v) if isinstance(v, (dict, list, tuple)) else v
+                for k, v in vars(grid).items()}
+
+    before = state()
+    for method in METHODS:
+        evolve(start, TRAP, 1.0, method, 0.2, 2)
+    assert state().keys() == before.keys()
+    for key, val in before.items():
+        np.testing.assert_array_equal(state()[key], val)
+
+
+@pytest.mark.parametrize("theta", [0.0, 10.0])
+def test_stepper_allocates_full_size_scratch_only_for_theta(theta):
+    # at theta = 0 every 3-D stage phase is formed from the plane and the
+    # line, so the stepper needs no full-size buffer
+    grid = Grid(3, (6.0, 5.0, 4.0), (16, 16, 16))
+    tg = TrapOnGrid(Trap((0.8, 1.2, 1.1), 0.5), grid)
+    full = 8 * 16 ** 3
+    tracemalloc.start()
+    try:
+        step = make_stepper("cf6af+rkn116", tg, theta)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert step is not None
+    assert (held >= 3 * full) if theta else (held < full)
+
+
 @pytest.mark.parametrize("theta", [0.0, 10.0])
 @pytest.mark.parametrize("method", METHODS)
 def test_3d_step_matches_full_size_potential_loop(method, theta):
@@ -225,8 +277,9 @@ def test_3d_step_matches_full_size_potential_loop(method, theta):
         P = plane + line
         assert P.shape == grid.sizes
         if b:
-            expected = apply_splitting(grid, expected, inner, frac * h, P,
-                                       b, b * theta)
+            expected = apply_splitting(
+                expected, inner, frac * h, P,
+                kinetic_phases(grid, inner, frac * h, b), b * theta)
         else:
             expected = potential_flow(expected, frac * h, P)
     out = make_stepper(method, tg, theta)(vals, t, h)

@@ -8,10 +8,16 @@ import scipy.fft
 
 from rgpe.model import Trap, TrapOnGrid, gaussian_state
 from rgpe.spectral import Grid, kinetic_flow
-from rgpe.splitting import (SPLITTINGS, apply_splitting, potential_flow,
-                            splitting_pairs)
+from rgpe.splitting import (SPLITTINGS, apply_splitting, kinetic_phases,
+                            potential_flow, potential_phase, splitting_pairs)
 
 GRID = Grid(2, (8.0, 8.0), (32, 32))
+
+
+def _split(vals, name, tau, pot, theta=0.0):
+    """apply_splitting on GRID with a unit kinetic weight."""
+    return apply_splitting(vals, name, tau, pot,
+                           kinetic_phases(GRID, name, tau), theta)
 
 
 def _state(rng):
@@ -86,7 +92,7 @@ def test_kernels_return_the_array_they_were_given(rng, theta):
     vals = _state(rng)
     assert potential_flow(vals, 0.2, pot, theta) is vals
     for name in sorted(SPLITTINGS):
-        assert apply_splitting(GRID, vals, name, 0.1, pot, 1.0, theta) is vals
+        assert _split(vals, name, 0.1, pot, theta) is vals
 
 
 @pytest.mark.parametrize("name", sorted(SPLITTINGS))
@@ -98,19 +104,42 @@ def test_zero_theta_phase_reuse_matches_recomputed_phases(name, rng):
     tau, coef = 0.3, 0.7
     expected = vals.copy()
     for a, b in zip(*splitting_pairs(name)):
-        expected = kinetic_flow(GRID, expected, a * tau, coef)
+        expected = kinetic_flow(expected, GRID.kinetic_phase(coef * (a * tau)))
         if b:
             expected = potential_flow(expected, b * tau, pot)
-    out = apply_splitting(GRID, vals.copy(), name, tau, pot, coef)
+    out = apply_splitting(vals.copy(), name, tau, pot,
+                          kinetic_phases(GRID, name, tau, coef))
     np.testing.assert_array_equal(out, expected)
+
+
+def test_kinetic_phases_coefficient_scales_time(rng):
+    grid = Grid(2, (3.0, 3.0), (16, 16))
+    v = rng.standard_normal(grid.sizes) + 1j * rng.standard_normal(grid.sizes)
+    slow, fast = v.copy(), v.copy()
+    for half, full in zip(kinetic_phases(grid, "rkn74", 0.4, b=0.5),
+                          kinetic_phases(grid, "rkn74", 0.2)):
+        slow, fast = kinetic_flow(slow, half), kinetic_flow(fast, full)
+    np.testing.assert_allclose(slow, fast, atol=1e-14)
+
+
+@pytest.mark.parametrize("line_shape", [None, (1, 1, 4)])
+def test_potential_phase_factors_are_broadcast(rng, line_shape):
+    plane = rng.standard_normal((8, 6, 1) if line_shape else (8, 6))
+    line = rng.standard_normal(line_shape) if line_shape else None
+    factors = potential_phase(0.3, plane, line)
+    assert [f.shape for f in factors] == \
+        [plane.shape] + ([line_shape] if line_shape else [])
+    full = plane + (0.0 if line is None else line)
+    np.testing.assert_allclose(np.prod(np.broadcast_arrays(*factors), axis=0),
+                               np.exp(-0.3j * full), rtol=0, atol=1e-15)
 
 
 def test_strang_with_zero_potential_is_pure_kinetic(rng):
     vals = _state(rng)
     zero = np.zeros(GRID.sizes)
-    out = apply_splitting(GRID, vals.copy(), "strang", 0.41, zero)
-    np.testing.assert_allclose(out, kinetic_flow(GRID, vals.copy(), 0.41),
-                               atol=1e-13)
+    out = _split(vals.copy(), "strang", 0.41, zero)
+    np.testing.assert_allclose(
+        out, kinetic_flow(vals.copy(), GRID.kinetic_phase(0.41)), atol=1e-13)
 
 
 def test_splitting_counts_transform_pairs(rng, monkeypatch):
@@ -128,7 +157,7 @@ def test_splitting_counts_transform_pairs(rng, monkeypatch):
     pot = rng.standard_normal(GRID.sizes)
     for name, pairs in (("strang", 2), ("rkn74", 7), ("rkn116", 11)):
         calls.clear()
-        apply_splitting(GRID, vals.copy(), name, 0.1, pot)
+        _split(vals.copy(), name, 0.1, pot)
         assert calls.count("fftn") == calls.count("ifftn") == pairs
 
 
@@ -138,10 +167,10 @@ def test_strang_local_error_is_third_order():
     vals = gaussian_state(GRID, (1.1, 0.9))
 
     def err(tau):
-        coarse = apply_splitting(GRID, vals.copy(), "strang", tau, pot)
+        coarse = _split(vals.copy(), "strang", tau, pot)
         fine = vals.copy()
         for k in range(64):
-            fine = apply_splitting(GRID, fine, "strang", tau / 64, pot)
+            fine = _split(fine, "strang", tau / 64, pot)
         return GRID.l2_norm(coarse - fine)
 
     e1, e2 = err(0.2), err(0.1)
@@ -155,9 +184,8 @@ def test_splitting_is_time_reversible(name, rng):
     pot, _ = trap.combination((1.0,), trap.coefficients((0.7,)))
     vals = gaussian_state(GRID, (1.1, 0.9))
     for theta in (0.0, 1.0):
-        fwd = apply_splitting(GRID, vals.copy(), name, 0.05, pot, 1.0, theta)
-        back = apply_splitting(GRID, fwd.copy(), name, -0.05, pot, 1.0,
-                               theta)
+        fwd = _split(vals.copy(), name, 0.05, pot, theta)
+        back = _split(fwd.copy(), name, -0.05, pot, theta)
         assert GRID.l2_norm(back - vals) < 1e-13
 
 
@@ -165,5 +193,5 @@ def test_splitting_is_time_reversible(name, rng):
 def test_splitting_preserves_norm(name, rng):
     vals = _state(rng)
     pot = rng.standard_normal(GRID.sizes)
-    out = apply_splitting(GRID, vals.copy(), name, 0.3, pot, 1.0, 5.0)
+    out = _split(vals.copy(), name, 0.3, pot, 5.0)
     assert GRID.l2_norm(out) == pytest.approx(GRID.l2_norm(vals), abs=1e-12)

@@ -3,7 +3,8 @@
 Extracts the base revision with ``bench_pairs.extract`` and runs the same
 cases on both trees, each in its own Python subprocess importing that
 tree's ``src``: every method at theta 0 and 10, on a 32^2 and a 16^3 grid,
-each giving its final state and a snapshot half-way.  Prints per array the
+each giving its final state and a snapshot half-way, plus the states of one
+stepper reused over the steps h, -h, h.  Prints per array the
 largest pointwise difference relative to the largest modulus of the base
 state, and whether the two arrays are equal bit for bit.  Exits 1 if any
 array differs by more than 1e-12.  Run from the repo root, for example:
@@ -29,8 +30,8 @@ TOL = 1e-12
 _CHILD = """
 import sys
 import numpy as np
-from rgpe.integrators import METHODS, evolve
-from rgpe.model import Trap, gaussian_state
+from rgpe.integrators import METHODS, evolve, make_stepper
+from rgpe.model import Trap, TrapOnGrid, gaussian_state
 from rgpe.spectral import Field, Grid
 
 states = {}
@@ -46,6 +47,13 @@ for dim, size in ((2, 32), (3, 16)):
             key = f"{method} theta={theta:g} {size}^{dim}"
             states[key] = res.field.values
             states[key + " t=0.1"] = res.snapshots[0].values
+    # one stepper reused over h, -h, h: a per-h phase cache must rebuild
+    for theta in (0.0, 10.0):
+        step = make_stepper("cf6af+rkn116", TrapOnGrid(trap, grid), theta)
+        values = start.values
+        for n, h in enumerate((0.05, -0.05, 0.05)):
+            values = step(values, 0.05 * (n % 2), h)
+            states[f"reused theta={theta:g} {size}^{dim} #{n}"] = values
 np.savez(sys.argv[1], **states)
 """
 
