@@ -14,8 +14,7 @@ from .model import (Trap, TrapOnGrid, gaussian_state, nonlinearity,
                     vortex_state)
 from .oracle import classical_transform_check, dense_reference, observed_order
 from .spectral import Field, Grid, kinetic_flow, read_field, write_field
-from .splitting import SPLITTINGS, apply_splitting, kinetic_phases, \
-    potential_flow
+from .splitting import SPLITTINGS, apply_splitting, potential_flow
 
 __version__ = "0.1.0"
 
@@ -26,6 +25,6 @@ __all__ = [
     "Trap", "TrapOnGrid", "gaussian_state", "nonlinearity", "vortex_state",
     "classical_transform_check", "dense_reference", "observed_order",
     "Field", "Grid", "kinetic_flow", "read_field", "write_field",
-    "SPLITTINGS", "apply_splitting", "kinetic_phases", "potential_flow",
+    "SPLITTINGS", "apply_splitting", "potential_flow",
     "__version__",
 ]
