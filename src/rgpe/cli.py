@@ -10,8 +10,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import harness, oracle
 from .config import RunConfig, parse_config, write_config
 from .integrators import (DivergenceError, METHODS, evolve, method_checksum,
@@ -150,81 +148,31 @@ def cmd_self_converge(args):
     return EXIT_OK
 
 
-def _check_line(name, value, bound, results):
+def _check_line(name, value, bound):
     ok = value < bound
-    results.append(ok)
     print(f"  {'PASS' if ok else 'FAIL'}  {name}: {value:.3e} "
           f"(require < {bound:g})")
+    return ok
 
 
 def cmd_oracle_check(args):
-    from scipy.linalg import expm
-
-    rng = np.random.default_rng(2718)
-    results = []
     print("dense truncated-exponent propagator:")
-    n = 16
-    mats = []
-    for _ in range(4):
-        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        M = 0.5 * (M + M.conj().T)
-        mats.append(M / np.linalg.norm(M, 2))
-    A, B0, B1, B2 = mats
-
-    def b_of_t(t):
-        return B0 + t * B1 + t * t * B2
-
-    u0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    u0 /= np.linalg.norm(u0)
-    hs = [0.2, 0.16, 0.125, 0.1, 0.08]
-    errs = []
-    for h in hs:
-        u_m = expm(oracle.omega6_exponent(A, b_of_t, 0.0, h)) @ u0
-        u_r = oracle.midpoint_reference(A, b_of_t, u0, 0.0, h, 10000)
-        errs.append(float(np.linalg.norm(u_m - u_r)))
-    slope = oracle.observed_order(hs, errs)
-    _check_line("local-order slope deviation from 7", abs(slope - 7.0), 0.3,
-                results)
-
-    D = [np.diag(rng.standard_normal(n)) for _ in range(3)]
-    alphas = oracle.alpha_triple(A, D[0], D[1], D[2], 0.3)
-    diff = np.abs(oracle.magnus_omega6(alphas)
-                  - oracle.magnus_omega6_modified(alphas)).max()
-    _check_line("commuting-samples modified-vs-full gap", diff, 1e-13,
-                results)
-
+    slope, gap = oracle.local_order_check()
+    ok = [_check_line("local-order slope deviation from 7", abs(slope - 7.0),
+                      0.3),
+          _check_line("commuting-samples modified-vs-full gap", gap, 1e-13)]
     print("classical two-frame consistency:")
-    trap = Trap((0.8, 1.2), 0.5)
-    dev, energy = oracle.classical_transform_check(trap)
-    _check_line("trajectory deviation", dev, 1e-8, results)
-    _check_line("matched-state energy mismatch", energy, 1e-8, results)
-
-    print("all checks passed" if all(results) else "some checks FAILED")
-    return EXIT_OK if all(results) else EXIT_RUNTIME
+    dev, energy = oracle.classical_transform_check(Trap((0.8, 1.2), 0.5))
+    ok += [_check_line("trajectory deviation", dev, 1e-8),
+           _check_line("matched-state energy mismatch", energy, 1e-8)]
+    print("all checks passed" if all(ok) else "some checks FAILED")
+    return EXIT_OK if all(ok) else EXIT_RUNTIME
 
 
 def cmd_gradient_check(args):
     cfg = _load_config(args)
-    rng = np.random.default_rng(cfg.seed)
-    trap = Trap(cfg.gammas, cfg.omega)
-    step = 1e-5
-    worst = 0.0
-    for _ in range(1000):
-        xi = rng.uniform(-5.0, 5.0, size=trap.dim)
-        t = rng.uniform(cfg.t0, cfg.t_final)
-        a = trap.gradient_coefficients(t)
-        grad = np.array([a[0] * xi[0] + a[2] * xi[1],
-                         a[2] * xi[0] + a[1] * xi[1]]
-                        + [a33 * x3 for a33, x3 in zip(a[3:], xi[2:])])
-        fd = np.empty_like(grad)
-        for ax in range(trap.dim):
-            e = np.zeros(trap.dim)
-            e[ax] = step
-            fd[ax] = (oracle.potential_direct(trap, xi + e, t)
-                      - oracle.potential_direct(trap, xi - e, t)) / (2 * step)
-        num = float(np.linalg.norm(grad - fd))
-        den = max(float(np.linalg.norm(grad)), 1e-9)
-        worst = max(worst, num / den)
+    worst = oracle.gradient_deviation(Trap(cfg.gammas, cfg.omega), cfg.t0,
+                                      cfg.t_final, cfg.seed)
     ok = worst < 1e-6
     print(f"{'PASS' if ok else 'FAIL'}  analytic vs central differences over "
           f"1000 samples: max relative deviation {worst:.3e} (require < 1e-6)")

@@ -15,6 +15,7 @@ diverge.
 
 import csv
 import logging
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -73,6 +74,8 @@ def _steps_for(span, stepsizes):
     """Convert requested stepsizes to exact step counts, strictly checked."""
     counts = []
     for h in stepsizes:
+        if not h or not math.isfinite(span / h):
+            raise ValueError(f"stepsize {h} gives no finite step count")
         n = round(span / h)
         if n < 1 or abs(n * h - span) > 1e-9 * abs(span):
             raise ValueError(f"stepsize {h} does not divide the interval "

@@ -16,7 +16,8 @@ from scipy.linalg import expm
 __all__ = ["GAUSS3_NODES", "DENSE_LIMIT", "potential_direct", "dense_kinetic",
            "build_dense", "alpha_triple", "magnus_omega6",
            "magnus_omega6_modified", "omega6_exponent", "midpoint_reference",
-           "dense_reference", "observed_order", "classical_transform_check"]
+           "dense_reference", "observed_order", "local_order_check",
+           "gradient_deviation", "classical_transform_check"]
 
 _S15 = math.sqrt(15.0)
 GAUSS3_NODES = (0.5 - _S15 / 10.0, 0.5, 0.5 + _S15 / 10.0)
@@ -178,6 +179,63 @@ def observed_order(stepsizes, errors, window=None, floor=1e-12):
     if int(keep.sum()) < 3:
         raise ValueError("need at least 3 usable points for a slope")
     return float(np.polyfit(np.log(hs[keep]), np.log(es[keep]), 1)[0])
+
+
+def local_order_check():
+    """(slope, gap) of the truncated exponent on random 16-dimensional
+    Hermitian problems: the slope of its one-step error against the
+    micro-step propagator (nominally 7), and the largest entry of the full
+    minus the modified exponent for commuting (diagonal) samples."""
+    rng = np.random.default_rng(2718)
+    n = 16
+    mats = []
+    for _ in range(4):
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        M = 0.5 * (M + M.conj().T)
+        mats.append(M / np.linalg.norm(M, 2))
+    A, B0, B1, B2 = mats
+
+    def b_of_t(t):
+        return B0 + t * B1 + t * t * B2
+
+    u0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    u0 /= np.linalg.norm(u0)
+    hs = [0.2, 0.16, 0.125, 0.1, 0.08]
+    errs = [float(np.linalg.norm(
+        expm(omega6_exponent(A, b_of_t, 0.0, h)) @ u0
+        - midpoint_reference(A, b_of_t, u0, 0.0, h, 10000))) for h in hs]
+    slope = observed_order(hs, errs)
+
+    D = [np.diag(rng.standard_normal(n)) for _ in range(3)]
+    alphas = alpha_triple(A, D[0], D[1], D[2], 0.3)
+    gap = np.abs(magnus_omega6(alphas)
+                 - magnus_omega6_modified(alphas)).max()
+    return slope, float(gap)
+
+
+def gradient_deviation(trap, t0, t1, seed):
+    """Worst relative deviation of ``trap.gradient_coefficients`` from
+    central differences (step 1e-5) of :func:`potential_direct`, over 1000
+    random points in [-5, 5]^dim at random times in [t0, t1]."""
+    rng = np.random.default_rng(seed)
+    step = 1e-5
+    worst = 0.0
+    for _ in range(1000):
+        xi = rng.uniform(-5.0, 5.0, size=trap.dim)
+        t = rng.uniform(t0, t1)
+        a = trap.gradient_coefficients(t)
+        grad = np.array([a[0] * xi[0] + a[2] * xi[1],
+                         a[2] * xi[0] + a[1] * xi[1]]
+                        + [a33 * x3 for a33, x3 in zip(a[3:], xi[2:])])
+        fd = np.empty_like(grad)
+        for ax in range(trap.dim):
+            e = np.zeros(trap.dim)
+            e[ax] = step
+            fd[ax] = (potential_direct(trap, xi + e, t)
+                      - potential_direct(trap, xi - e, t)) / (2 * step)
+        worst = max(worst, float(np.linalg.norm(grad - fd))
+                    / max(float(np.linalg.norm(grad)), 1e-9))
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
-from rgpe import _tables, oracle
+from rgpe import _tables
 from rgpe.config import RunConfig
 from rgpe.harness import convergence_study
 from rgpe.integrators import (METHODS, evolve, make_stepper, method_order,
                               pairs_per_step)
 from rgpe.model import Trap, TrapOnGrid, gaussian_state, vortex_state
-from rgpe.oracle import (alpha_triple, classical_transform_check,
-                         dense_reference, magnus_omega6,
-                         magnus_omega6_modified, midpoint_reference,
-                         observed_order, omega6_exponent, potential_direct)
+from rgpe.oracle import (classical_transform_check, dense_reference,
+                         gradient_deviation, local_order_check, observed_order)
 from rgpe.spectral import Field, Grid
 
 SPAN = 4.0
@@ -204,31 +201,8 @@ def test_criterion_3_linear_orders_against_dense_reference(c3_runs,
 
 
 def test_criterion_4_truncated_exponent_local_order(acceptance):
-    rng = np.random.default_rng(2718)
-    n = 16
-    mats = []
-    for _ in range(4):
-        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        M = 0.5 * (M + M.conj().T)
-        mats.append(M / np.linalg.norm(M, 2))
-    A, B0, B1, B2 = mats
-
-    def b_of_t(t):
-        return B0 + t * B1 + t * t * B2
-
-    u0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    u0 /= np.linalg.norm(u0)
-    hs = [0.2, 0.16, 0.125, 0.1, 0.08]
-    errs = [float(np.linalg.norm(
-        expm(omega6_exponent(A, b_of_t, 0.0, h)) @ u0
-        - midpoint_reference(A, b_of_t, u0, 0.0, h, 10000))) for h in hs]
-    slope = observed_order(hs, errs)
+    slope, gap = local_order_check()
     assert abs(slope - 7.0) < 0.3
-
-    D = [np.diag(rng.standard_normal(n)) for _ in range(3)]
-    alphas = alpha_triple(A, D[0], D[1], D[2], 0.3)
-    gap = np.abs(magnus_omega6(alphas)
-                 - magnus_omega6_modified(alphas)).max()
     assert gap < 1e-13
     acceptance(4, True, f"truncated exponent shows local order {slope:.2f} "
                "(nominal 7) against the micro-step propagator; "
@@ -251,28 +225,8 @@ def test_criterion_5_norm_conservation(studies, vortex_pair, acceptance):
 
 
 def test_criterion_6_analytic_gradients(acceptance):
-    step = 1e-5
-    worst = 0.0
-    for gammas in ((0.8, 1.2), (0.8, 1.2, 1.0)):
-        trap = Trap(gammas, 0.5)
-        rng = np.random.default_rng(1234)
-        for _ in range(1000):
-            xi = rng.uniform(-5.0, 5.0, size=trap.dim)
-            t = rng.uniform(0.0, 4.0)
-            a = trap.gradient_coefficients(t)
-            grad = [a[0] * xi[0] + a[2] * xi[1],
-                    a[2] * xi[0] + a[1] * xi[1]]
-            if trap.dim == 3:
-                grad.append(a[3] * xi[2])
-            grad = np.array(grad)
-            fd = np.empty_like(grad)
-            for ax in range(trap.dim):
-                e = np.zeros(trap.dim)
-                e[ax] = step
-                fd[ax] = (potential_direct(trap, xi + e, t)
-                          - potential_direct(trap, xi - e, t)) / (2 * step)
-            worst = max(worst, float(np.linalg.norm(grad - fd))
-                        / max(float(np.linalg.norm(grad)), 1e-9))
+    worst = max(gradient_deviation(Trap(gammas, 0.5), 0.0, 4.0, 1234)
+                for gammas in ((0.8, 1.2), (0.8, 1.2, 1.0)))
     assert worst < 1e-6
 
     # isotropic in-plane trap: the field the bbk stepper scales into its

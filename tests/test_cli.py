@@ -6,6 +6,7 @@ import pytest
 
 import rgpe.cli
 import rgpe.harness
+import rgpe.oracle
 from rgpe.cli import _bundled, main
 from rgpe.config import parse_config
 from rgpe.integrators import METHODS, DivergenceError, method_checksum
@@ -195,6 +196,16 @@ def test_bad_step_lists_exit_2_before_writing(tiny_cfg, tmp_path, capsys,
     assert not out.exists() or not list(out.iterdir())
 
 
+def test_stepsize_without_finite_step_count_exits_2(tmp_path, capsys):
+    p = tmp_path / "tiny-h.cfg"
+    p.write_text(TINY_CFG + "stepsizes = 1e-320\n")
+    for command in ("converge", "self-converge"):
+        assert main(["--config", str(p), "--out", str(tmp_path / "o"),
+                     command]) == 2
+        assert "no finite step count" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("effective-config.cfg"))
+
+
 def test_runtime_error_exits_3(tiny_cfg, tmp_path, monkeypatch, capsys):
     def broken(*a, **k):
         raise RuntimeError("reference self-check failed")
@@ -256,9 +267,20 @@ def test_oracle_check_passes(capsys):
 
 
 def test_gradient_check_passes(capsys):
-    assert main(["gradient-check"]) == 0
-    text = capsys.readouterr().out
-    assert "PASS" in text and "FAIL" not in text
+    for argv in (["gradient-check"], ["--dim", "3", "gradient-check"]):
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert "PASS" in text and "FAIL" not in text
+
+
+def test_failed_oracle_figures_exit_3(monkeypatch, capsys):
+    monkeypatch.setattr(rgpe.oracle, "local_order_check", lambda: (6.0, 0.0))
+    monkeypatch.setattr(rgpe.oracle, "classical_transform_check",
+                        lambda trap: (0.0, 0.0))
+    monkeypatch.setattr(rgpe.oracle, "gradient_deviation", lambda *a: 1e-3)
+    for command in ("oracle-check", "gradient-check"):
+        assert main([command]) == 3
+        assert "FAIL" in capsys.readouterr().out
 
 
 def test_bundled_configs_parse():

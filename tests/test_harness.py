@@ -30,6 +30,9 @@ def test_steps_for_rejects_non_divisors_and_duplicates():
         _steps_for(4.0, [0.3])
     with pytest.raises(ValueError, match="duplicate"):
         _steps_for(4.0, [0.5, 0.5000000001])
+    for h in (1e-320, 0.0):
+        with pytest.raises(ValueError, match="no finite step count"):
+            _steps_for(4.0, [h])
 
 
 def test_convergence_study_small(tmp_path):

@@ -8,9 +8,10 @@ from scipy.linalg import expm
 from rgpe.model import Trap
 from rgpe.oracle import (DENSE_LIMIT, GAUSS3_NODES, alpha_triple, build_dense,
                          classical_transform_check, dense_kinetic,
-                         dense_reference, grid_points, magnus_omega6,
-                         magnus_omega6_modified, midpoint_reference,
-                         observed_order, omega6_exponent, potential_direct)
+                         dense_reference, gradient_deviation, grid_points,
+                         magnus_omega6, magnus_omega6_modified,
+                         midpoint_reference, observed_order, omega6_exponent,
+                         potential_direct)
 from rgpe.spectral import Grid
 
 TRAP = Trap((0.8, 1.2), 0.5)
@@ -154,6 +155,17 @@ def test_observed_order_window_and_floor():
         observed_order([0.2, 0.1], [1e-4, 1e-5])
     with pytest.raises(ValueError, match="at least 3"):
         observed_order(hs, [np.inf, np.inf, np.inf, 1e-5, 1e-6])
+
+
+class _SkewedTrap(Trap):
+    def gradient_coefficients(self, t):
+        a11, a22, a12 = super().gradient_coefficients(t)
+        return a11, a22, a12 + 1e-3
+
+
+def test_gradient_deviation_sees_a_wrong_coefficient():
+    assert gradient_deviation(TRAP, 0.0, 4.0, 7) < 1e-6
+    assert gradient_deviation(_SkewedTrap((0.8, 1.2), 0.5), 0.0, 4.0, 7) > 1e-6
 
 
 def test_classical_check_trivial_without_rotation():
