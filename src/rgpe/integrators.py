@@ -16,6 +16,7 @@ b = 0 (their weights sum to zero), which are pure pointwise phases carrying
 a gradient correction.
 """
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field as dataclass_field
@@ -26,7 +27,7 @@ from . import _tables
 from .model import TrapOnGrid
 from .spectral import Field
 from .splitting import SPLIT_ORDERS, SPLITTINGS, apply_splitting, \
-    kinetic_phases, potential_flow, splitting_pairs, workspace
+    potential_flow, splitting_pairs, workspace
 
 __all__ = ["METHODS", "OUTER_SCHEMES", "method_order", "pairs_per_step",
            "method_checksum", "make_stepper", "evolve", "EvolveResult",
@@ -98,11 +99,11 @@ def method_checksum(method):
 def make_stepper(method, trap_grid, theta):
     """Return step(values, t, h) -> values advancing one step from time t.
 
-    The stepper owns the stage potential's plane, a workspace if theta != 0
-    and the kinetic phases of its split stages for the last h, so it belongs
-    to one thread.  Each step evaluates the trap once per node and copies
-    its input once, working on the copy in place: the caller's array is
-    never written, and every returned state is a fresh array.
+    The stepper owns a workspace if theta != 0 and, for the last h, one
+    kinetic phase per distinct sub-step, so it belongs to one thread.  Each
+    step evaluates the trap once per node and copies its input once, working
+    on the copy in place: the caller's array is never written, and every
+    returned state is a fresh array.
     """
     (nodes, _, stages), inner = _parse(method)
     grid = trap_grid.grid
@@ -110,23 +111,23 @@ def make_stepper(method, trap_grid, theta):
     corrected = any(corrects for *_, corrects in stages)
     kappa = trap_grid.trap.gradient_difference_coefficient
     work = workspace(grid.sizes) if theta else None
-    plane = np.empty(trap_grid.plane_shape)
-    kinetic = {}  # h -> the kinetic phases of each stage, None if b = 0
+    alphas = splitting_pairs(inner)[0]
+
+    @functools.lru_cache(maxsize=1)  # each stage's phases, None if b = 0
+    def kinetic(h):
+        phase = functools.cache(grid.kinetic_phase)  # one per distinct tau
+        return [[phase(b * (a * (frac * h))) for a in alphas] if b else None
+                for frac, _, b, _ in stages]
 
     def step(values, t, h):
-        if h not in kinetic:
-            kinetic.clear()
-            kinetic[h] = [kinetic_phases(grid, inner, frac * h, b) if b
-                          else None for frac, _, b, _ in stages]
         values = np.array(values, dtype=np.complex128)
         times = [t + c * h for c in nodes]
         coefs = trap_grid.coefficients(times)
         shift = (_tables.BBK_WTILDE_COEF * h * h * kappa(times[-1], times[0])
                  if corrected else 0.0)
-        for (frac, row, b, corrects), phases in zip(stages, kinetic[h]):
-            _, line = trap_grid.combination(row, coefs,
-                                            shift if corrects else 0.0,
-                                            out=plane)
+        for (frac, row, b, corrects), phases in zip(stages, kinetic(h)):
+            plane, line = trap_grid.combination(row, coefs,
+                                                shift if corrects else 0.0)
             if b:
                 values = apply_splitting(values, inner, frac * h, plane,
                                          phases, b * theta, work, line)

@@ -94,9 +94,7 @@ class Trap:
 
 class TrapOnGrid:
     """A trap on a grid; holds only the sparse coordinate vectors and their
-    squares, and builds each field on request from its coefficients.  The
-    in-plane part of a field lives on ``plane_shape``: (M1, M2), or
-    (M1, M2, 1) in 3-D."""
+    squares, and builds each field on request from its coefficients."""
 
     def __init__(self, trap, grid):
         if trap.dim != grid.dim:
@@ -104,7 +102,6 @@ class TrapOnGrid:
                              f"grid dimension {grid.dim}")
         self.trap = trap
         self.grid = grid
-        self.plane_shape = grid.sizes[:2] + (1,) * (grid.dim - 2)
         self._x = grid.coordinates()
         self._sq = tuple(x * x for x in self._x)
 
@@ -112,25 +109,23 @@ class TrapOnGrid:
         """The quadratic-form coefficients of W(., t) at each time."""
         return [self.trap.quad_coefficients(t) for t in times]
 
-    def combination(self, weights, coefficients, shift=0.0, out=None):
+    def combination(self, weights, coefficients, shift=0.0):
         """sum_k weights[k] W(., t_k) + shift (xi_1^2 + xi_2^2), given W's
         :meth:`coefficients` at the t_k, summed on the coefficients.
 
-        Returns (plane, line): the in-plane quadratic, written into ``out``
-        (allocated if None), and the axial term on (1, 1, M3) in 3-D, None
-        in 2-D.  The trap rotates in the (xi_1, xi_2) plane only, so their
-        broadcast sum is the whole field.
+        Returns (plane, line): the in-plane quadratic, a new array on
+        (M1, M2), or (M1, M2, 1) in 3-D, and the axial term on (1, 1, M3)
+        in 3-D, None in 2-D.  The trap rotates in the (xi_1, xi_2) plane
+        only, so their broadcast sum is the whole field.
         """
         c11, c22, c12, *c33 = (sum(w * c[i] for w, c in zip(weights,
                                                             coefficients))
                                for i in range(len(coefficients[0])))
-        if out is None:
-            out = np.empty(self.plane_shape)
         x, sq = self._x, self._sq
-        np.multiply(x[0], c12 * x[1], out=out)
-        out += (c11 + shift) * sq[0]
-        out += (c22 + shift) * sq[1]
-        return out, (c33[0] * sq[2] if c33 else None)
+        plane = np.multiply(x[0], c12 * x[1])
+        plane += (c11 + shift) * sq[0]
+        plane += (c22 + shift) * sq[1]
+        return plane, (c33[0] * sq[2] if c33 else None)
 
     def gradient_difference_sq(self, t1, t0):
         """|grad(W(., t1) - W(., t0))|^2 on the grid, from its kappa."""

@@ -15,8 +15,8 @@ from . import _tables
 from .model import nonlinearity
 from .spectral import kinetic_flow
 
-__all__ = ["SPLITTINGS", "SPLIT_ORDERS", "splitting_pairs", "kinetic_phases",
-           "workspace", "potential_phase", "potential_flow", "apply_splitting"]
+__all__ = ["SPLITTINGS", "SPLIT_ORDERS", "splitting_pairs", "workspace",
+           "potential_phase", "potential_flow", "apply_splitting"]
 
 SPLITTINGS = {
     "strang": (_tables.STRANG_ALPHA, _tables.STRANG_BETA),
@@ -32,13 +32,6 @@ def splitting_pairs(name):
     except KeyError:
         raise ValueError(f"unknown splitting {name!r}; "
                          f"available: {', '.join(sorted(SPLITTINGS))}") from None
-
-
-def kinetic_phases(grid, scheme, tau, b=1.0):
-    """The kinetic phase of each sub-step of the splitting ``scheme`` over
-    tau, for a kinetic term scaled by ``b``, as ``kinetic_flow`` takes it."""
-    return [grid.kinetic_phase(b * (a * tau))
-            for a in splitting_pairs(scheme)[0]]
 
 
 def workspace(shape):
@@ -98,15 +91,15 @@ def apply_splitting(values, scheme, tau, potential, kinetic, theta=0.0,
                     work=None, line=None):
     """Propagate values over tau with the named splitting, in place.
 
-    ``kinetic`` lists the kinetic phase of each sub-step,
-    ``kinetic_phases(grid, scheme, tau, b)`` for a stage whose kinetic
-    weight is b (stages of the exponential integrators need fractional,
-    sometimes negative, weights).  ``potential`` and ``line`` are the stage
-    potential as :func:`potential_flow` takes it; ``theta`` is the cubic
-    coefficient as seen by this stage, i.e. already scaled by b.  At
-    theta = 0 the potential phase is fixed for the whole call, so the
-    factors of each distinct potential weight are built once, up front, and
-    each visit only multiplies.
+    ``kinetic`` lists the kinetic phase of each sub-step: for a stage whose
+    kinetic weight is b, ``grid.kinetic_phase(b * (alpha * tau))`` for each
+    alpha of the scheme (stages of the exponential integrators need
+    fractional, sometimes negative, weights).  ``potential`` and ``line``
+    are the stage potential as :func:`potential_flow` takes it; ``theta``
+    is the cubic coefficient as seen by this stage, i.e. already scaled by
+    b.  At theta = 0 the potential phase is fixed for the whole call, so
+    the factors of each distinct potential weight are built once, up front,
+    and each visit only multiplies.
     """
     _, betas = splitting_pairs(scheme)
     factors = {} if theta else {b: potential_phase(b * tau, potential, line)

@@ -15,10 +15,16 @@ from rgpe.integrators import (METHODS, OUTER_SCHEMES, DivergenceError,
 from rgpe.model import Trap, TrapOnGrid, gaussian_state
 from rgpe.oracle import dense_kinetic
 from rgpe.spectral import Field, Grid
-from rgpe.splitting import apply_splitting, kinetic_phases, potential_flow
+from rgpe.splitting import apply_splitting, potential_flow, splitting_pairs
 
 TRAP = Trap((0.8, 1.2), 0.5)
 SMALL = Grid(2, (3.5, 3.5), (8, 8))
+
+
+def _phases(grid, inner, tau, b=1.0):
+    """The kinetic phase of each sub-step of a split stage of weight b."""
+    return [grid.kinetic_phase(b * (a * tau))
+            for a in splitting_pairs(inner)[0]]
 
 
 def _small_state():
@@ -101,7 +107,7 @@ def test_cf2_stage_uses_midpoint_potential():
     out = make_stepper("cf2+strang", tg, 1.0)(vals, t, h)
     pot, _ = tg.combination((1.0,), tg.coefficients((t + 0.5 * h,)))
     expected = apply_splitting(vals.copy(), "strang", h, pot,
-                               kinetic_phases(SMALL, "strang", h), 1.0)
+                               _phases(SMALL, "strang", h), 1.0)
     np.testing.assert_allclose(out, expected, atol=1e-15)
 
 
@@ -223,6 +229,25 @@ def test_reused_stepper_matches_fresh_steppers(method, theta, dim):
         t += h
 
 
+@pytest.mark.parametrize("method,builds",
+                         zip(METHODS, (1, 4, 8, 18, 1, 4, 6)))
+def test_stepper_builds_one_kinetic_phase_per_distinct_substep(
+        method, builds, monkeypatch):
+    # the splittings are palindromic and the bbk split stages share their
+    # tau, so a step of one h needs far fewer phases than sub-steps
+    calls = []
+    real = Grid.kinetic_phase
+
+    def counted(self, tau):
+        calls.append(tau)
+        return real(self, tau)
+
+    monkeypatch.setattr(Grid, "kinetic_phase", counted)
+    step = make_stepper(method, TrapOnGrid(TRAP, SMALL), 0.0)
+    step(step(_small_state(), 0.3, 0.05), 0.35, 0.05)
+    assert len(calls) == len(set(calls)) == builds
+
+
 def test_evolve_leaves_its_grid_unchanged():
     grid = Grid(2, (8.0, 8.0), (32, 32))
     start = Field(grid, gaussian_state(grid, (1.1, 0.9)), 0.0, "rotating")
@@ -279,7 +304,7 @@ def test_3d_step_matches_full_size_potential_loop(method, theta):
         if b:
             expected = apply_splitting(
                 expected, inner, frac * h, P,
-                kinetic_phases(grid, inner, frac * h, b), b * theta)
+                _phases(grid, inner, frac * h, b), b * theta)
         else:
             expected = potential_flow(expected, frac * h, P)
     out = make_stepper(method, tg, theta)(vals, t, h)

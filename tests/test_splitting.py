@@ -8,16 +8,21 @@ import scipy.fft
 
 from rgpe.model import Trap, TrapOnGrid, gaussian_state
 from rgpe.spectral import Grid, kinetic_flow
-from rgpe.splitting import (SPLITTINGS, apply_splitting, kinetic_phases,
-                            potential_flow, potential_phase, splitting_pairs)
+from rgpe.splitting import (SPLITTINGS, apply_splitting, potential_flow,
+                            potential_phase, splitting_pairs)
 
 GRID = Grid(2, (8.0, 8.0), (32, 32))
 
 
+def _phases(name, tau, b=1.0):
+    """The kinetic phase of each sub-step on GRID, as the stepper builds
+    them for a stage of kinetic weight b."""
+    return [GRID.kinetic_phase(b * (a * tau)) for a in splitting_pairs(name)[0]]
+
+
 def _split(vals, name, tau, pot, theta=0.0):
     """apply_splitting on GRID with a unit kinetic weight."""
-    return apply_splitting(vals, name, tau, pot,
-                           kinetic_phases(GRID, name, tau), theta)
+    return apply_splitting(vals, name, tau, pot, _phases(name, tau), theta)
 
 
 def _state(rng):
@@ -108,18 +113,8 @@ def test_zero_theta_phase_reuse_matches_recomputed_phases(name, rng):
         if b:
             expected = potential_flow(expected, b * tau, pot)
     out = apply_splitting(vals.copy(), name, tau, pot,
-                          kinetic_phases(GRID, name, tau, coef))
+                          _phases(name, tau, coef))
     np.testing.assert_array_equal(out, expected)
-
-
-def test_kinetic_phases_coefficient_scales_time(rng):
-    grid = Grid(2, (3.0, 3.0), (16, 16))
-    v = rng.standard_normal(grid.sizes) + 1j * rng.standard_normal(grid.sizes)
-    slow, fast = v.copy(), v.copy()
-    for half, full in zip(kinetic_phases(grid, "rkn74", 0.4, b=0.5),
-                          kinetic_phases(grid, "rkn74", 0.2)):
-        slow, fast = kinetic_flow(slow, half), kinetic_flow(fast, full)
-    np.testing.assert_allclose(slow, fast, atol=1e-14)
 
 
 @pytest.mark.parametrize("line_shape", [None, (1, 1, 4)])
