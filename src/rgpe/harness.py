@@ -21,7 +21,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .integrators import DivergenceError, evolve, method_order
+from .integrators import DivergenceError, evolve, method_order, step_grid
 
 __all__ = ["ConvergenceRow", "StudyResult", "check_methods",
            "check_stepsizes", "convergence_study", "self_convergence",
@@ -63,11 +63,13 @@ class StudyResult:
 
 
 def check_methods(methods):
-    """Reject an empty method list or an unknown descriptor."""
+    """Reject an empty method list, an unknown descriptor or a duplicate."""
     if not methods:
         raise ValueError("no methods requested")
     for m in methods:
         method_order(m)  # raises on unknown descriptors
+    if len(set(methods)) != len(methods):
+        raise ValueError("duplicate methods in the study")
 
 
 def _steps_for(span, stepsizes):
@@ -89,6 +91,8 @@ def _steps_for(span, stepsizes):
 def check_stepsizes(cfg, stepsizes, self_convergence=False):
     """Step counts of a study over cfg's time span, checked before any run."""
     counts = _steps_for(cfg.t_final - cfg.t0, stepsizes)
+    for n in counts:
+        step_grid(cfg.t0, cfg.t_final, n)
     if self_convergence and len(counts) < 4:
         raise ValueError("self-convergence needs at least 4 stepsizes")
     return counts
@@ -154,7 +158,7 @@ def convergence_study(cfg, methods, stepsizes, workers=None, csv_path=None):
                        ref.norm_final, check_distance)
 
 
-def self_convergence(cfg, method, stepsizes, workers=None, csv_path=None):
+def self_convergence(cfg, method, stepsizes, csv_path=None):
     """Error of a method against itself at a tenfold-refined stepsize.
 
     The nonlinear regime has no dense oracle; consistency under refinement
@@ -165,7 +169,7 @@ def self_convergence(cfg, method, stepsizes, workers=None, csv_path=None):
     counts = check_stepsizes(cfg, stepsizes, self_convergence=True)
     factor = cfg.reference_factor
 
-    with ThreadPoolExecutor(max_workers=_pool_size(cfg, workers)) as pool:
+    with ThreadPoolExecutor(max_workers=_pool_size(cfg)) as pool:
         coarse = {n: pool.submit(_run_one, cfg, method, n) for n in counts}
         fine = {n: pool.submit(_run_one, cfg, method, factor * n)
                 for n in counts}

@@ -169,15 +169,21 @@ CHECK_EVERY = 16  # steps between norm checks
 def step_grid(t0, t_final, n_steps, snapshot_times=()):
     """(h, snapshot step indices) of n_steps steps from t0 to t_final.
 
-    Checks, for ``evolve`` and ``RunConfig.validate`` alike, that
-    n_steps >= 1, h != 0 and each snapshot time is on a step boundary, as
-    the stepper has no dense output.
+    Checks, for ``evolve``, ``RunConfig.validate`` and the studies' step
+    counts alike, that n_steps >= 1, h != 0, t0 + h != t0 and
+    t_final - h != t_final (below the time axis's resolution the node times
+    t + c h collapse), and that each snapshot time is on a step boundary,
+    as the stepper has no dense output.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    h = (float(t_final) - t0) / n_steps
+    t_final = float(t_final)
+    h = (t_final - t0) / n_steps
     if h == 0:
         raise ValueError("t_final coincides with the start time")
+    if t0 + h == t0 or t_final - h == t_final:
+        raise ValueError(f"step size {h} is below the resolution of the "
+                         f"time axis from {t0} to {t_final}")
     snap_at = set()
     for ts in snapshot_times:
         k = (float(ts) - t0) / h

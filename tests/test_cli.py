@@ -95,11 +95,13 @@ def test_missing_config_exits_2(tmp_path):
      "step boundary"),
     ("n_steps = abc\n", "config key 'n_steps'"),
     ("sizes = 64.0, 64\n", "config key 'sizes'"),
+    ("n_steps = 100000000000000000000\n",
+     "below the resolution of the time axis"),
 ], ids=["nan-theta", "inf-omega", "inf-half-width", "duplicate-key",
         "no-equals", "overflowing-gamma", "overflowing-gaussian-weight",
         "overflowing-spacing", "overflowing-wavenumber", "odd-size",
         "overflowing-angle", "overflowing-span", "off-grid-snapshot",
-        "non-integer-steps", "float-size"])
+        "non-integer-steps", "float-size", "unresolved-step"])
 def test_invalid_config_exits_2(tmp_path, capsys, text, match):
     p = tmp_path / "bad.cfg"
     p.write_text("[run]\n" + text)
@@ -204,6 +206,27 @@ def test_stepsize_without_finite_step_count_exits_2(tmp_path, capsys):
                      command]) == 2
         assert "no finite step count" in capsys.readouterr().err
     assert not list(tmp_path.rglob("effective-config.cfg"))
+
+
+def test_stepsize_below_time_resolution_exits_2(tmp_path, capsys):
+    # 1e-300 gives a finite step count, 5e299 steps that would never end
+    p = tmp_path / "tiny-h.cfg"
+    p.write_text(TINY_CFG + "stepsizes = 1e-300\n")
+    for command in ("converge", "self-converge"):
+        assert main(["--config", str(p), "--out", str(tmp_path / "o"),
+                     command]) == 2
+        assert "below the resolution" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("effective-config.cfg"))
+
+
+@pytest.mark.parametrize("command", ["converge", "self-converge"])
+def test_duplicate_methods_exit_2(tiny_cfg, tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert main(["--config", tiny_cfg, "--out", str(out), command,
+                 "--methods", "cf2+strang,cf2+strang",
+                 "--steps", "4,8,16,32"]) == 2
+    assert "duplicate methods" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_runtime_error_exits_3(tiny_cfg, tmp_path, monkeypatch, capsys):

@@ -159,6 +159,22 @@ def test_studies_check_methods_before_any_run(monkeypatch):
         convergence_study(cfg, [], [0.25, 0.125])
     with pytest.raises(ValueError, match="unknown method"):
         self_convergence(cfg, "cf9+magic", [0.5, 0.25, 0.125, 0.0625])
+    with pytest.raises(ValueError, match="duplicate methods"):
+        convergence_study(cfg, ["cf2+strang", "cf4+rkn74", "cf2+strang"],
+                          [0.25, 0.125])
+    assert calls == []
+
+
+def test_studies_check_step_counts_against_the_time_axis(monkeypatch):
+    # a finite step count whose h vanishes next to t_final would start a
+    # run that never ends
+    calls = []
+    monkeypatch.setattr(harness, "evolve", lambda *a, **k: calls.append(a))
+    cfg = RunConfig(**TINY)
+    with pytest.raises(ValueError, match="below the resolution"):
+        convergence_study(cfg, ["cf2+strang"], [0.25, 1e-300])
+    with pytest.raises(ValueError, match="below the resolution"):
+        self_convergence(cfg, "cf2+strang", [0.5, 0.25, 0.125, 1e-300])
     assert calls == []
 
 
