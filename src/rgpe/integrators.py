@@ -169,11 +169,10 @@ CHECK_EVERY = 16  # steps between norm checks
 def step_grid(t0, t_final, n_steps, snapshot_times=()):
     """(h, snapshot step indices) of n_steps steps from t0 to t_final.
 
-    Checks, for ``evolve``, ``RunConfig.validate`` and the studies' step
-    counts alike, that n_steps >= 1, h != 0, t0 + h != t0 and
-    t_final - h != t_final (below the time axis's resolution the node times
-    t + c h collapse), and that each snapshot time is on a step boundary,
-    as the stepper has no dense output.
+    Checks, for ``evolve``, ``RunConfig.validate`` and the studies alike,
+    that n_steps >= 1, that t0 + h and t_final - h differ from t0 and
+    t_final (else the node times t + c h collapse) and that each snapshot
+    time is on a step boundary, as the stepper has no dense output.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")

@@ -169,7 +169,9 @@ def test_snapshot_names_never_collide(tmp_path, monkeypatch, capsys,
     (",", "2,4,8,16", "no methods"),
     ("cf2+strang", "0", "positive"),
     ("cf2+strang", "8,0", "positive"),
-], ids=["unknown-method", "no-methods", "zero-steps", "zero-in-list"])
+    ("cf2+strang,cf2+strang", "2,4,8,16", "duplicate methods"),
+], ids=["unknown-method", "no-methods", "zero-steps", "zero-in-list",
+        "duplicate-methods"])
 def test_bad_study_arguments_exit_2_before_any_run(tiny_cfg, tmp_path,
                                                    monkeypatch, capsys,
                                                    command, methods, steps,
@@ -182,6 +184,7 @@ def test_bad_study_arguments_exit_2_before_any_run(tiny_cfg, tmp_path,
     assert code == 2
     assert match in capsys.readouterr().err
     assert calls == []
+    assert not list(tmp_path.rglob("effective-config.cfg"))
 
 
 @pytest.mark.parametrize("command,steps,match", [
@@ -199,34 +202,17 @@ def test_bad_step_lists_exit_2_before_writing(tiny_cfg, tmp_path, capsys,
 
 
 def test_stepsize_without_finite_step_count_exits_2(tmp_path, capsys):
-    p = tmp_path / "tiny-h.cfg"
-    p.write_text(TINY_CFG + "stepsizes = 1e-320\n")
-    for command in ("converge", "self-converge"):
-        assert main(["--config", str(p), "--out", str(tmp_path / "o"),
-                     command]) == 2
-        assert "no finite step count" in capsys.readouterr().err
+    # 1e-320 gives no finite count; 1e-300 gives 5e299 steps of an h the
+    # time axis cannot resolve, a run that would never end
+    for h, match in (("1e-320", "no finite step count"),
+                     ("1e-300", "below the resolution of the time axis")):
+        p = tmp_path / f"tiny-h{h}.cfg"
+        p.write_text(TINY_CFG + f"stepsizes = {h}\n")
+        for command in ("converge", "self-converge"):
+            assert main(["--config", str(p), "--out", str(tmp_path / "o"),
+                         command]) == 2
+            assert match in capsys.readouterr().err
     assert not list(tmp_path.rglob("effective-config.cfg"))
-
-
-def test_stepsize_below_time_resolution_exits_2(tmp_path, capsys):
-    # 1e-300 gives a finite step count, 5e299 steps that would never end
-    p = tmp_path / "tiny-h.cfg"
-    p.write_text(TINY_CFG + "stepsizes = 1e-300\n")
-    for command in ("converge", "self-converge"):
-        assert main(["--config", str(p), "--out", str(tmp_path / "o"),
-                     command]) == 2
-        assert "below the resolution" in capsys.readouterr().err
-    assert not list(tmp_path.rglob("effective-config.cfg"))
-
-
-@pytest.mark.parametrize("command", ["converge", "self-converge"])
-def test_duplicate_methods_exit_2(tiny_cfg, tmp_path, capsys, command):
-    out = tmp_path / "o"
-    assert main(["--config", tiny_cfg, "--out", str(out), command,
-                 "--methods", "cf2+strang,cf2+strang",
-                 "--steps", "4,8,16,32"]) == 2
-    assert "duplicate methods" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_runtime_error_exits_3(tiny_cfg, tmp_path, monkeypatch, capsys):

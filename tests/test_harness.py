@@ -165,19 +165,6 @@ def test_studies_check_methods_before_any_run(monkeypatch):
     assert calls == []
 
 
-def test_studies_check_step_counts_against_the_time_axis(monkeypatch):
-    # a finite step count whose h vanishes next to t_final would start a
-    # run that never ends
-    calls = []
-    monkeypatch.setattr(harness, "evolve", lambda *a, **k: calls.append(a))
-    cfg = RunConfig(**TINY)
-    with pytest.raises(ValueError, match="below the resolution"):
-        convergence_study(cfg, ["cf2+strang"], [0.25, 1e-300])
-    with pytest.raises(ValueError, match="below the resolution"):
-        self_convergence(cfg, "cf2+strang", [0.5, 0.25, 0.125, 1e-300])
-    assert calls == []
-
-
 def test_errors_for_unknown_method_is_empty():
     study = StudyResult([ConvergenceRow("m", 0.1, 10, 1e-3, 20, 1.0)],
                         "ref", 100, 1.0)

@@ -357,6 +357,8 @@ def test_evolve_validation():
         evolve(Field(grid, vals, 0.0, "lab"), TRAP, 0.0, "cf2+strang", 1.0, 4)
     with pytest.raises(ValueError, match="coincides"):
         evolve(start, TRAP, 0.0, "cf2+strang", 0.0, 4)
+    with pytest.raises(ValueError, match="below the resolution"):
+        evolve(start, TRAP, 0.0, "cf2+strang", 1.0, 10 ** 20)
     with pytest.raises(ValueError, match="step size inf or rotation angle"):
         evolve(Field(grid, vals, -1e308, "rotating"), TRAP, 0.0,
                "cf2+strang", 1e308, 2)

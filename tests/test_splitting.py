@@ -17,7 +17,8 @@ GRID = Grid(2, (8.0, 8.0), (32, 32))
 def _phases(name, tau, b=1.0):
     """The kinetic phase of each sub-step on GRID, as the stepper builds
     them for a stage of kinetic weight b."""
-    return [GRID.kinetic_phase(b * (a * tau)) for a in splitting_pairs(name)[0]]
+    return [GRID.kinetic_phase(b * (a * tau))
+            for a in splitting_pairs(name)[0]]
 
 
 def _split(vals, name, tau, pot, theta=0.0):
