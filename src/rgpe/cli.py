@@ -13,7 +13,7 @@ import sys
 from . import harness, oracle
 from .config import RunConfig, parse_config, write_config
 from .integrators import (DivergenceError, METHODS, evolve, method_checksum,
-                          method_order, pairs_per_step)
+                          method_order, pairs_per_step, step_grid)
 from .model import Trap
 from .spectral import write_field
 from .splitting import SPLIT_ORDERS, SPLITTINGS
@@ -64,7 +64,7 @@ def _stepsizes(cfg, args, self_convergence=False):
         counts = [int(s) for s in str(args.steps).split(",")]
         if min(counts) < 1:
             raise ValueError(f"step counts must be positive, got {args.steps}")
-        stepsizes = [span / n for n in counts]
+        stepsizes = [step_grid(cfg.t0, cfg.t_final, n)[0] for n in counts]
     else:
         stepsizes = (list(cfg.stepsizes)
                      or [span / 2 ** m for m in range(4, 10)])

@@ -96,6 +96,34 @@ def method_checksum(method):
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def _axial_flow(stages, inner, h, lines, k3):
+    """S_3, the (M3, M3) matrix of one step's axial sub-flows at theta = 0.
+
+    In 3-D at theta = 0 every sub-flow is an in-plane flow times an axial
+    one along xi_3: exp(-i tau k_3^2 / 2) of a kinetic phase and
+    exp(-i tau c33 xi_3^2) of a stage's ``line``, which does not depend on
+    time, because xi_3 does not rotate.  The in-plane and axial flows
+    commute, so the axial flows of a whole step, taken in the order of the
+    stage table and the splitting, make one matrix.  Each flow is applied to
+    the columns of the identity with 1-D numpy transforms, so a step's
+    ``scipy.fft`` calls stay its nominal transform pairs.
+    """
+    alphas, betas = splitting_pairs(inner)
+    flow = np.eye(k3.size, dtype=np.complex128)
+    for (frac, _, b, _), line in zip(stages, lines):
+        tau = frac * h
+        subflows = ([(b * (a * tau), beta * tau)
+                     for a, beta in zip(alphas, betas)] if b else [(0.0, tau)])
+        for kinetic_tau, potential_tau in subflows:
+            if kinetic_tau:
+                phase = np.exp((-0.5j * kinetic_tau) * k3 * k3)
+                flow = np.fft.ifft(phase[:, None] * np.fft.fft(flow, axis=0),
+                                   axis=0)
+            if potential_tau:
+                flow *= np.exp((-1j * potential_tau) * line)[:, None]
+    return flow
+
+
 def make_stepper(method, trap_grid, theta):
     """Return step(values, t, h) -> values advancing one step from time t.
 
@@ -104,6 +132,12 @@ def make_stepper(method, trap_grid, theta):
     step evaluates the trap once per node and copies its input once, working
     on the copy in place: the caller's array is never written, and every
     returned state is a fresh array.
+
+    On a 3-D grid at theta = 0 the axial parts of all sub-flows commute with
+    the in-plane ones, so a step first applies them together as one matrix
+    along xi_3 (:func:`_axial_flow`, built per h), whose product is the
+    copy, and then runs the stages with in-plane kinetic phases and no
+    axial line, each transform pair acting on the (xi_1, xi_2) axes only.
     """
     (nodes, _, stages), inner = _parse(method)
     grid = trap_grid.grid
@@ -112,25 +146,43 @@ def make_stepper(method, trap_grid, theta):
     kappa = trap_grid.trap.gradient_difference_coefficient
     work = workspace(grid.sizes) if theta else None
     alphas = splitting_pairs(inner)[0]
+    axial = grid.dim == 3 and not theta
+    build_phase = (functools.partial(grid.kinetic_phase, in_plane=True)
+                   if axial else grid.kinetic_phase)
 
-    @functools.lru_cache(maxsize=1)  # each stage's phases, None if b = 0
-    def kinetic(h):
-        phase = functools.cache(grid.kinetic_phase)  # one per distinct tau
-        return [[phase(b * (a * (frac * h))) for a in alphas] if b else None
-                for frac, _, b, _ in stages]
+    @functools.lru_cache(maxsize=1)
+    def per_h(h):
+        """Each stage's kinetic phases, None if b = 0, and S_3 or None."""
+        phase = functools.cache(build_phase)  # one per distinct tau
+        phases = [[phase(b * (a * (frac * h))) for a in alphas] if b else None
+                  for frac, _, b, _ in stages]
+        if not axial:
+            return phases, None
+        coefs = trap_grid.coefficients(nodes)  # the lines are the same at any t
+        lines = [trap_grid.combination(row, coefs)[1].ravel()
+                 for _, row, _, _ in stages]
+        return phases, _axial_flow(stages, inner, h, lines,
+                                   grid.wavenumbers[2])
 
     def step(values, t, h):
-        values = np.array(values, dtype=np.complex128)
+        phases, flow = per_h(h)
+        if flow is None:
+            values = np.array(values, dtype=np.complex128)
+        else:
+            values = np.asarray(values, dtype=np.complex128)
+            values = (values.reshape(-1, flow.shape[0]) @ flow.T).reshape(
+                grid.sizes)
         times = [t + c * h for c in nodes]
         coefs = trap_grid.coefficients(times)
         shift = (_tables.BBK_WTILDE_COEF * h * h * kappa(times[-1], times[0])
                  if corrected else 0.0)
-        for (frac, row, b, corrects), phases in zip(stages, kinetic(h)):
+        for (frac, row, b, corrects), stage_phases in zip(stages, phases):
             plane, line = trap_grid.combination(row, coefs,
                                                 shift if corrects else 0.0)
+            line = None if axial else line
             if b:
                 values = apply_splitting(values, inner, frac * h, plane,
-                                         phases, b * theta, work, line)
+                                         stage_phases, b * theta, work, line)
             else:
                 values = potential_flow(values, frac * h, plane, line=line)
         return values
@@ -140,12 +192,6 @@ def make_stepper(method, trap_grid, theta):
 
 class DivergenceError(RuntimeError):
     """The propagation blew up (non-finite or norm growth beyond reason)."""
-
-    def __init__(self, message, time=None, norm=None):
-        super().__init__(message)
-        self.time = time
-        self.norm = norm
-        self.snapshots = []  # whatever was recorded before the abort
 
 
 @dataclass
@@ -177,9 +223,12 @@ def step_grid(t0, t_final, n_steps, snapshot_times=()):
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     t_final = float(t_final)
-    h = (t_final - t0) / n_steps
-    if h == 0:
+    if t_final == t0:
         raise ValueError("t_final coincides with the start time")
+    try:
+        h = (t_final - t0) / n_steps
+    except OverflowError:  # a count beyond float range: h is below any step
+        h = 0.0
     if t0 + h == t0 or t_final - h == t_final:
         raise ValueError(f"step size {h} is below the resolution of the "
                          f"time axis from {t0} to {t_final}")
@@ -227,12 +276,9 @@ def evolve(start, trap, theta, method, t_final, n_steps, snapshot_times=()):
         if n % CHECK_EVERY == 0 or n == n_steps or n in snap_at:
             norm = grid.l2_norm(values)
             if not math.isfinite(norm) or norm > 10.0 * max(norm0, 1e-300):
-                err = DivergenceError(
+                raise DivergenceError(
                     f"{method} diverged at t = {t0 + n * h:.6g} "
-                    f"(norm {norm:.3e}, initial {norm0:.3e})",
-                    time=t0 + n * h, norm=norm)
-                err.snapshots = snapshots
-                raise err
+                    f"(norm {norm:.3e}, initial {norm0:.3e})")
         if n in snap_at:
             snapshots.append(Field(grid, values.copy(), t0 + n * h,
                                    start.frame))

@@ -29,9 +29,10 @@ class Grid:
 
     |k|^2 is kept as two small broadcastable pieces, the first axis as a
     column of shape (M1, 1[, 1]) and the trailing axes as a block of shape
-    (1, M2[, M3]), so no full-size array is stored.  The spacing 2L/M must be
-    finite and positive and the largest |k|^2, sum_l (pi M_l / 2 L_l)^2,
-    finite.
+    (1, M2[, M3]), so no full-size array is stored; a 3-D grid also keeps
+    the (xi_1, xi_2) part k_1^2 + k_2^2 on an (M1, M2, 1) plane.  The
+    spacing 2L/M must be finite and positive and the largest |k|^2,
+    sum_l (pi M_l / 2 L_l)^2, finite.
     """
 
     def __init__(self, dim, half_widths, sizes):
@@ -68,6 +69,8 @@ class Grid:
         self._ksq_column = ksq[0].reshape((-1,) + (1,) * (dim - 1))
         trailing = ksq[1] if dim == 2 else ksq[1][:, None] + ksq[2]
         self._ksq_block = trailing.reshape((1,) + trailing.shape)
+        self._ksq_plane = ((ksq[0][:, None] + ksq[1])[:, :, None]
+                           if dim == 3 else None)
 
     def __eq__(self, other):
         return (isinstance(other, Grid) and self.dim == other.dim
@@ -94,10 +97,17 @@ class Grid:
     def l2_norm(self, values):
         return float(np.sqrt(self.cell_volume * np.vdot(values, values).real))
 
-    def kinetic_phase(self, tau):
+    def kinetic_phase(self, tau, in_plane=False):
         """exp(-i tau |k|^2 / 2) as two broadcastable factors, the first
         axis's column and the trailing axes' block, whose product is the
-        full phase."""
+        full phase.
+
+        With ``in_plane``, on a 3-D grid, only the (xi_1, xi_2) part
+        exp(-i tau (k_1^2 + k_2^2) / 2), as one factor on the (M1, M2, 1)
+        plane: the flow of the in-plane axes, which leaves xi_3 alone.
+        """
+        if in_plane:
+            return (np.exp((-0.5j * tau) * self._ksq_plane),)
         return (np.exp((-0.5j * tau) * self._ksq_column),
                 np.exp((-0.5j * tau) * self._ksq_block))
 
@@ -107,18 +117,23 @@ def kinetic_flow(values, phase):
 
     With ``phase = grid.kinetic_phase(tau)`` this is exp(i tau Laplacian / 2),
     the free flow of -Laplacian/2 over tau; tau may be negative (several
-    schemes take backward fractional steps).  Works in place: ``values``, a
-    complex128 array, is overwritten with the result and returned, so pass a
-    copy to keep the input.  Costs exactly one transform pair.
+    schemes take backward fractional steps).  A phase whose factors are all
+    constant along the last axis, ``grid.kinetic_phase(tau, in_plane=True)``,
+    is the identity there, so only the other axes are transformed.  Works in place:
+    ``values``, a complex128 array, is overwritten with the result and
+    returned, so pass a copy to keep the input.  Costs exactly one
+    transform pair.
     """
     if values.dtype != np.complex128:
         raise TypeError(f"kinetic_flow works in place on complex128 arrays, "
                         f"got {values.dtype}")
+    axes = (None if any(f.shape[-1] > 1 for f in phase)
+            else tuple(range(values.ndim - 1)))
     # both transforms write into the memory of values
-    hat = _fft.fftn(values, overwrite_x=True)
+    hat = _fft.fftn(values, axes=axes, overwrite_x=True)
     for factor in phase:
         np.multiply(hat, factor, out=hat)
-    _fft.ifftn(hat, overwrite_x=True)
+    _fft.ifftn(hat, axes=axes, overwrite_x=True)
     return values
 
 

@@ -97,11 +97,14 @@ def test_missing_config_exits_2(tmp_path):
     ("sizes = 64.0, 64\n", "config key 'sizes'"),
     ("n_steps = 100000000000000000000\n",
      "below the resolution of the time axis"),
+    ("n_steps = 1" + "0" * 400 + "\n",
+     "below the resolution of the time axis"),
 ], ids=["nan-theta", "inf-omega", "inf-half-width", "duplicate-key",
         "no-equals", "overflowing-gamma", "overflowing-gaussian-weight",
         "overflowing-spacing", "overflowing-wavenumber", "odd-size",
         "overflowing-angle", "overflowing-span", "off-grid-snapshot",
-        "non-integer-steps", "float-size", "unresolved-step"])
+        "non-integer-steps", "float-size", "unresolved-step",
+        "overflowing-step-count"])
 def test_invalid_config_exits_2(tmp_path, capsys, text, match):
     p = tmp_path / "bad.cfg"
     p.write_text("[run]\n" + text)
@@ -203,14 +206,19 @@ def test_bad_step_lists_exit_2_before_writing(tiny_cfg, tmp_path, capsys,
 
 def test_stepsize_without_finite_step_count_exits_2(tmp_path, capsys):
     # 1e-320 gives no finite count; 1e-300 gives 5e299 steps of an h the
-    # time axis cannot resolve, a run that would never end
-    for h, match in (("1e-320", "no finite step count"),
-                     ("1e-300", "below the resolution of the time axis")):
+    # time axis cannot resolve, a run that would never end; a --steps count
+    # beyond float range has no float step size at all
+    huge = "1" + "0" * 400
+    for h, steps, match in (
+            ("1e-320", [], "no finite step count"),
+            ("1e-300", [], "below the resolution of the time axis"),
+            ("0.25", ["--steps", f"4,8,16,{huge}"],
+             "below the resolution of the time axis")):
         p = tmp_path / f"tiny-h{h}.cfg"
         p.write_text(TINY_CFG + f"stepsizes = {h}\n")
         for command in ("converge", "self-converge"):
             assert main(["--config", str(p), "--out", str(tmp_path / "o"),
-                         command]) == 2
+                         command, *steps]) == 2
             assert match in capsys.readouterr().err
     assert not list(tmp_path.rglob("effective-config.cfg"))
 
@@ -227,7 +235,7 @@ def test_runtime_error_exits_3(tiny_cfg, tmp_path, monkeypatch, capsys):
 
 def test_divergence_exits_4(tiny_cfg, tmp_path, monkeypatch, capsys):
     def explode(*a, **k):
-        raise DivergenceError("norm blew up", time=0.5, norm=float("inf"))
+        raise DivergenceError("norm blew up")
     monkeypatch.setattr("rgpe.cli.evolve", explode)
     code = main(["--config", tiny_cfg, "--out", str(tmp_path / "o"),
                  "simulate"])

@@ -79,7 +79,7 @@ def test_convergence_study_keeps_diverged_rows(tmp_path, monkeypatch):
 
     def exploding(start, trap, theta, method, t_final, n_steps, **kw):
         if method == "cf2+strang" and n_steps == 8:
-            raise DivergenceError("boom", time=0.5, norm=float("inf"))
+            raise DivergenceError("boom")
         return real_evolve(start, trap, theta, method, t_final, n_steps, **kw)
 
     monkeypatch.setattr(harness, "evolve", exploding)
@@ -106,7 +106,7 @@ def test_self_convergence_keeps_diverged_rows(tmp_path, monkeypatch, capsys,
 
     def exploding(start, trap, theta, method, t_final, n_steps, **kw):
         if n_steps == diverging:
-            raise DivergenceError("boom", time=0.5, norm=float("inf"))
+            raise DivergenceError("boom")
         return real_evolve(start, trap, theta, method, t_final, n_steps, **kw)
 
     monkeypatch.setattr(harness, "evolve", exploding)
@@ -138,7 +138,7 @@ def test_self_convergence_raises_other_failures(monkeypatch):
 
     def failing(start, trap, theta, method, t_final, n_steps, **kw):
         if n_steps == 4:
-            raise DivergenceError("boom", time=0.5, norm=float("inf"))
+            raise DivergenceError("boom")
         if n_steps == 20:
             raise RuntimeError("reference failed")
         return real_evolve(start, trap, theta, method, t_final, n_steps, **kw)

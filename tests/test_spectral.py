@@ -112,6 +112,12 @@ def test_kinetic_flow_works_in_place(rng):
     out = kinetic_flow(v, phase)
     assert out is v
     np.testing.assert_allclose(out, expected, atol=1e-13)
+    # the in-plane phase is the flow of the (xi_1, xi_2) axes alone
+    (plane,) = phase = grid.kinetic_phase(0.3, in_plane=True)
+    assert plane.shape == (8, 12, 1)
+    expected = np.fft.ifftn(plane * np.fft.fftn(v, axes=(0, 1)), axes=(0, 1))
+    assert kinetic_flow(v, phase) is v
+    np.testing.assert_allclose(v, expected, atol=1e-13)
     with pytest.raises(TypeError, match="complex128"):
         kinetic_flow(v.real.copy(), phase)
 
@@ -130,6 +136,12 @@ def test_kinetic_phase_factors_multiply_to_full_phase(half_widths, sizes):
         np.testing.assert_allclose(column * block,
                                    np.exp(-0.5j * tau * ksq),
                                    rtol=0, atol=1e-15 * scale)
+        if len(sizes) == 3:  # times the xi_3 part, the in-plane phase
+            (plane,) = grid.kinetic_phase(tau, in_plane=True)
+            k3sq = grid.wavenumbers[2] ** 2
+            np.testing.assert_allclose(plane * np.exp(-0.5j * tau * k3sq),
+                                       np.exp(-0.5j * tau * ksq),
+                                       rtol=0, atol=1e-15 * scale)
 
 
 def test_field_density_and_norm():
