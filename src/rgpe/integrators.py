@@ -135,9 +135,11 @@ def make_stepper(method, trap_grid, theta):
 
     On a 3-D grid at theta = 0 the axial parts of all sub-flows commute with
     the in-plane ones, so a step first applies them together as one matrix
-    along xi_3 (:func:`_axial_flow`, built per h), whose product is the
-    copy, and then runs the stages with in-plane kinetic phases and no
-    axial line, each transform pair acting on the (xi_1, xi_2) axes only.
+    along xi_3 (:func:`_axial_flow`, built per h), and then runs the stages
+    with in-plane kinetic phases and no axial line, each transform pair
+    acting on the (xi_1, xi_2) axes only.  The matrix product takes the
+    place of the copy; it is written into a padded buffer, and the step
+    returns a contiguous copy of the result.
     """
     (nodes, _, stages), inner = _parse(method)
     grid = trap_grid.grid
@@ -169,9 +171,13 @@ def make_stepper(method, trap_grid, theta):
         if flow is None:
             values = np.array(values, dtype=np.complex128)
         else:
-            values = np.asarray(values, dtype=np.complex128)
-            values = (values.reshape(-1, flow.shape[0]) @ flow.T).reshape(
-                grid.sizes)
+            # one spare element on each trailing axis keeps the strides of
+            # the transformed axes off powers of two, whose cache-set
+            # conflicts made an in-plane pair at 64^3 take 6.6 ms, not 4.1
+            m1, m2, m3 = grid.sizes
+            padded = np.empty((m1, m2 + 1, m3 + 1), np.complex128)
+            values = np.matmul(np.asarray(values, dtype=np.complex128),
+                               flow.T, out=padded[:, :m2, :m3])
         times = [t + c * h for c in nodes]
         coefs = trap_grid.coefficients(times)
         shift = (_tables.BBK_WTILDE_COEF * h * h * kappa(times[-1], times[0])
@@ -185,7 +191,7 @@ def make_stepper(method, trap_grid, theta):
                                          stage_phases, b * theta, work, line)
             else:
                 values = potential_flow(values, frac * h, plane, line=line)
-        return values
+        return values if flow is None else values.copy()
 
     return step
 
