@@ -131,7 +131,7 @@ def make_stepper(method, trap_grid, theta):
     kinetic phase per distinct sub-step, so it belongs to one thread.  Each
     step evaluates the trap once per node and copies its input once, working
     on the copy in place: the caller's array is never written, and every
-    returned state is a fresh array.
+    returned state is a fresh contiguous array.
 
     On a 3-D grid at theta = 0 the axial parts of all sub-flows commute with
     the in-plane ones, so a step first applies them together as one matrix
@@ -160,7 +160,7 @@ def make_stepper(method, trap_grid, theta):
                   for frac, _, b, _ in stages]
         if not axial:
             return phases, None
-        coefs = trap_grid.coefficients(nodes)  # the lines are the same at any t
+        coefs = trap_grid.coefficients(nodes)  # xi_3 does not rotate
         lines = [trap_grid.combination(row, coefs)[1].ravel()
                  for _, row, _, _ in stages]
         return phases, _axial_flow(stages, inner, h, lines,

@@ -119,9 +119,9 @@ def kinetic_flow(values, phase):
     the free flow of -Laplacian/2 over tau; tau may be negative (several
     schemes take backward fractional steps).  A phase whose factors are all
     constant along the last axis, ``grid.kinetic_phase(tau, in_plane=True)``,
-    is the identity there, so only the other axes are transformed.  Works in place:
-    ``values``, a complex128 array, is overwritten with the result and
-    returned, so pass a copy to keep the input.  Costs exactly one
+    is the identity there, so only the other axes are transformed.  Works
+    in place: ``values``, a complex128 array, is overwritten with the result
+    and returned, so pass a copy to keep the input.  Costs exactly one
     transform pair.
     """
     if values.dtype != np.complex128:

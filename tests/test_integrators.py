@@ -195,13 +195,13 @@ def test_step_executes_nominal_transforms(method, monkeypatch):
 
         monkeypatch.setattr(scipy.fft, name, counted)
     grid = Grid(3, (6.0, 5.0, 4.0), (12, 10, 8))
-    tg = TrapOnGrid(Trap((0.8, 1.2, 1.1), 0.5), grid)
-    vals = gaussian_state(grid, (1.1, 0.9, 1.0))
+    tg3 = TrapOnGrid(Trap((0.8, 1.2, 1.1), 0.5), grid)
+    vals3 = gaussian_state(grid, (1.1, 0.9, 1.0))
     pairs = pairs_per_step(method)
     for tg, vals, theta, axes in (
             (TrapOnGrid(TRAP, SMALL), _small_state(), 10.0, (0, 1)),
             (TrapOnGrid(TRAP, SMALL), _small_state(), 0.0, (0, 1)),
-            (tg, vals, 10.0, (0, 1, 2)), (tg, vals, 0.0, (0, 1))):
+            (tg3, vals3, 10.0, (0, 1, 2)), (tg3, vals3, 0.0, (0, 1))):
         calls.clear()
         make_stepper(method, tg, theta)(vals, 0.3, 0.05)
         assert len(calls) == 2 * pairs
@@ -212,16 +212,19 @@ def test_step_executes_nominal_transforms(method, monkeypatch):
 @pytest.mark.parametrize("theta", [0.0, 10.0])
 @pytest.mark.parametrize("method", METHODS)
 def test_step_leaves_its_input_and_returns_fresh_arrays(method, theta):
-    tg = TrapOnGrid(TRAP, SMALL)
-    vals = _small_state()
-    before = vals.copy()
-    step = make_stepper(method, tg, theta)
-    one = step(vals, 0.3, 0.05)
-    np.testing.assert_array_equal(vals, before)
-    two = step(one, 0.35, 0.05)
-    assert not np.shares_memory(one, two)
-    assert not np.shares_memory(one, vals)
-    np.testing.assert_array_equal(one, step(before, 0.3, 0.05))
+    grid = Grid(3, (3.5, 3.0, 2.5), (8, 6, 4))
+    for tg, vals in ((TrapOnGrid(TRAP, SMALL), _small_state()),
+                     (TrapOnGrid(Trap((0.8, 1.2, 1.1), 0.5), grid),
+                      gaussian_state(grid, (1.1, 0.9, 1.0)))):
+        before = vals.copy()
+        step = make_stepper(method, tg, theta)
+        one = step(vals, 0.3, 0.05)
+        np.testing.assert_array_equal(vals, before)
+        two = step(one, 0.35, 0.05)
+        assert not np.shares_memory(one, two)
+        assert not np.shares_memory(one, vals)
+        assert one.flags.c_contiguous and two.flags.c_contiguous
+        np.testing.assert_array_equal(one, step(before, 0.3, 0.05))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
