@@ -106,7 +106,9 @@ def _run_one(cfg, method, n_steps):
 
 
 def _pool_size(cfg, requested=None):
-    return requested or cfg.workers or os.cpu_count() or 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())  # the CPUs this process may run on
+    return requested or cfg.workers or cpus or 1
 
 
 def convergence_study(cfg, methods, stepsizes, workers=None, csv_path=None):

@@ -4,8 +4,8 @@ A method descriptor is ``<outer>+<inner>``: the outer scheme is a
 commutator-free exponential integrator built on Gauss collocation nodes
 (cf2, cf4, cf4af, cf6af) or the modified four-exponential sixth-order
 scheme (bbk); the inner scheme is the splitting used to realize each stage
-exponential (strang, rkn74, rkn116).  Every outer scheme is a table of
-stages run by one loop; stage j applies
+exponential (strang, rkn74, rkn116).  A step is one flat list of the
+stages' sub-flows, run by one loop; stage j applies
 
     exp(-i f_j h (b_j K + P_j + b_j theta |phi|^2)),
     P_j = sum_k a_jk W(., t0 + c_k h),
@@ -26,8 +26,7 @@ import numpy as np
 from . import _tables
 from .model import TrapOnGrid
 from .spectral import Field
-from .splitting import SPLIT_ORDERS, SPLITTINGS, apply_splitting, \
-    potential_flow, splitting_pairs, workspace
+from .splitting import SPLIT_ORDERS, SPLITTINGS, apply_splitting, workspace
 
 __all__ = ["METHODS", "OUTER_SCHEMES", "method_order", "pairs_per_step",
            "method_checksum", "make_stepper", "evolve", "EvolveResult",
@@ -77,11 +76,18 @@ def method_order(method):
     return min(order, SPLIT_ORDERS[inner])
 
 
+def _plan(stages, inner):
+    """A step's sub-flows in run order: (stage index, alpha, beta) of each
+    pair of a split stage's splitting, (stage index, None, 1.0) if b = 0."""
+    alphas, betas = SPLITTINGS[inner]
+    return [(j, alpha, beta) for j, (_, _, b, _) in enumerate(stages)
+            for alpha, beta in (zip(alphas, betas) if b else [(None, 1.0)])]
+
+
 def pairs_per_step(method):
     """Exact number of transform pairs one step costs."""
     (_, _, stages), inner = _parse(method)
-    split = sum(1 for _, _, b, _ in stages if b)
-    return split * len(splitting_pairs(inner)[0])
+    return sum(alpha is not None for _, alpha, _ in _plan(stages, inner))
 
 
 def method_checksum(method):
@@ -91,83 +97,83 @@ def method_checksum(method):
                       for frac, row, b, corrected in stages]
     if any(corrected for *_, corrected in stages):
         data.append((_tables.BBK_WTILDE_COEF,))
-    data += splitting_pairs(inner)
+    data += SPLITTINGS[inner]
     blob = repr([[float(v) for v in row] for row in data]).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _axial_flow(stages, inner, h, lines, k3):
+def _axial_flow(taus, lines, k3):
     """S_3, the (M3, M3) matrix of one step's axial sub-flows at theta = 0.
 
     In 3-D at theta = 0 every sub-flow is an in-plane flow times an axial
     one along xi_3: exp(-i tau k_3^2 / 2) of a kinetic phase and
     exp(-i tau c33 xi_3^2) of a stage's ``line``, which does not depend on
     time, because xi_3 does not rotate.  The in-plane and axial flows
-    commute, so the axial flows of a whole step, taken in the order of the
-    stage table and the splitting, make one matrix.  Each flow is applied to
-    the columns of the identity with 1-D numpy transforms, so a step's
-    ``scipy.fft`` calls stay its nominal transform pairs.
+    commute, so the axial flows of a step's ``taus``, its (kinetic tau or
+    None, potential tau, stage, b theta) in run order, make one matrix.
+    Each flow is applied to the columns of the identity with 1-D numpy
+    transforms, so a step's ``scipy.fft`` calls stay its nominal pairs.
     """
-    alphas, betas = splitting_pairs(inner)
     flow = np.eye(k3.size, dtype=np.complex128)
-    for (frac, _, b, _), line in zip(stages, lines):
-        tau = frac * h
-        subflows = ([(b * (a * tau), beta * tau)
-                     for a, beta in zip(alphas, betas)] if b else [(0.0, tau)])
-        for kinetic_tau, potential_tau in subflows:
-            if kinetic_tau:
-                phase = np.exp((-0.5j * kinetic_tau) * k3 * k3)
-                flow = np.fft.ifft(phase[:, None] * np.fft.fft(flow, axis=0),
-                                   axis=0)
-            if potential_tau:
-                flow *= np.exp((-1j * potential_tau) * line)[:, None]
+    for kinetic_tau, potential_tau, stage, _ in taus:
+        if kinetic_tau:
+            phase = np.exp((-0.5j * kinetic_tau) * k3 * k3)
+            flow = np.fft.ifft(phase[:, None] * np.fft.fft(flow, axis=0),
+                               axis=0)
+        if potential_tau:
+            flow *= np.exp((-1j * potential_tau) * lines[stage])[:, None]
     return flow
 
 
 def make_stepper(method, trap_grid, theta):
     """Return step(values, t, h) -> values advancing one step from time t.
 
-    The stepper owns a workspace if theta != 0 and, for the last h, one
-    kinetic phase per distinct sub-step, so it belongs to one thread.  Each
-    step evaluates the trap once per node and copies its input once, working
-    on the copy in place: the caller's array is never written, and every
-    returned state is a fresh contiguous array.
+    The stepper owns a workspace if theta != 0 and, for the last h, its
+    sub-steps with one kinetic phase per distinct tau, so it belongs to one
+    thread.  Each step evaluates the trap once per node, copies its input
+    once and runs the sub-steps on the copy with one :func:`apply_splitting`:
+    the caller's array is never written, and every returned state is a
+    fresh contiguous array.
 
     On a 3-D grid at theta = 0 the axial parts of all sub-flows commute with
     the in-plane ones, so a step first applies them together as one matrix
-    along xi_3 (:func:`_axial_flow`, built per h), and then runs the stages
-    with in-plane kinetic phases and no axial line, each transform pair
-    acting on the (xi_1, xi_2) axes only.  The matrix product takes the
+    along xi_3 (:func:`_axial_flow`, built per h), and then runs the
+    sub-steps with in-plane kinetic phases and no axial line, each transform
+    pair acting on the (xi_1, xi_2) axes only.  The matrix product takes the
     place of the copy; it is written into a padded buffer, and the step
     returns a contiguous copy of the result.
     """
     (nodes, _, stages), inner = _parse(method)
+    plan = _plan(stages, inner)
     grid = trap_grid.grid
     theta = float(theta)
     corrected = any(corrects for *_, corrects in stages)
     kappa = trap_grid.trap.gradient_difference_coefficient
     work = workspace(grid.sizes) if theta else None
-    alphas = splitting_pairs(inner)[0]
     axial = grid.dim == 3 and not theta
     build_phase = (functools.partial(grid.kinetic_phase, in_plane=True)
                    if axial else grid.kinetic_phase)
 
     @functools.lru_cache(maxsize=1)
     def per_h(h):
-        """Each stage's kinetic phases, None if b = 0, and S_3 or None."""
+        """Sub-steps (phase or None, tau, stage, b theta) and S_3 or None."""
+        taus = []
+        for j, alpha, beta in plan:
+            frac, _, b, _ = stages[j]
+            kinetic = None if alpha is None else b * (alpha * (frac * h))
+            taus.append((kinetic, beta * (frac * h), j, b * theta))
         phase = functools.cache(build_phase)  # one per distinct tau
-        phases = [[phase(b * (a * (frac * h))) for a in alphas] if b else None
-                  for frac, _, b, _ in stages]
+        substeps = [(None if kinetic is None else phase(kinetic), *rest)
+                    for kinetic, *rest in taus]
         if not axial:
-            return phases, None
+            return substeps, None
         coefs = trap_grid.coefficients(nodes)  # xi_3 does not rotate
         lines = [trap_grid.combination(row, coefs)[1].ravel()
                  for _, row, _, _ in stages]
-        return phases, _axial_flow(stages, inner, h, lines,
-                                   grid.wavenumbers[2])
+        return substeps, _axial_flow(taus, lines, grid.wavenumbers[2])
 
     def step(values, t, h):
-        phases, flow = per_h(h)
+        substeps, flow = per_h(h)
         if flow is None:
             values = np.array(values, dtype=np.complex128)
         else:
@@ -182,15 +188,12 @@ def make_stepper(method, trap_grid, theta):
         coefs = trap_grid.coefficients(times)
         shift = (_tables.BBK_WTILDE_COEF * h * h * kappa(times[-1], times[0])
                  if corrected else 0.0)
-        for (frac, row, b, corrects), stage_phases in zip(stages, phases):
-            plane, line = trap_grid.combination(row, coefs,
-                                                shift if corrects else 0.0)
-            line = None if axial else line
-            if b:
-                values = apply_splitting(values, inner, frac * h, plane,
-                                         stage_phases, b * theta, work, line)
-            else:
-                values = potential_flow(values, frac * h, plane, line=line)
+        potentials = [trap_grid.combination(row, coefs,
+                                            shift if corrects else 0.0)
+                      for _, row, _, corrects in stages]
+        if axial:
+            potentials = [(plane, None) for plane, _ in potentials]
+        values = apply_splitting(values, substeps, potentials, work)
         return values if flow is None else values.copy()
 
     return step

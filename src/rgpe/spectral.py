@@ -107,6 +107,8 @@ class Grid:
         plane: the flow of the in-plane axes, which leaves xi_3 alone.
         """
         if in_plane:
+            if self.dim != 3:
+                raise ValueError("in-plane kinetic phases are for 3-D grids")
             return (np.exp((-0.5j * tau) * self._ksq_plane),)
         return (np.exp((-0.5j * tau) * self._ksq_column),
                 np.exp((-0.5j * tau) * self._ksq_block))

@@ -15,8 +15,8 @@ from . import _tables
 from .model import nonlinearity
 from .spectral import kinetic_flow
 
-__all__ = ["SPLITTINGS", "SPLIT_ORDERS", "splitting_pairs", "workspace",
-           "potential_phase", "potential_flow", "apply_splitting"]
+__all__ = ["SPLITTINGS", "SPLIT_ORDERS", "workspace", "potential_phase",
+           "potential_flow", "apply_splitting"]
 
 SPLITTINGS = {
     "strang": (_tables.STRANG_ALPHA, _tables.STRANG_BETA),
@@ -24,14 +24,6 @@ SPLITTINGS = {
     "rkn116": (_tables.RKN116_ALPHA, _tables.RKN116_BETA),
 }
 SPLIT_ORDERS = {"strang": 2, "rkn74": 4, "rkn116": 6}
-
-
-def splitting_pairs(name):
-    try:
-        return SPLITTINGS[name]
-    except KeyError:
-        raise ValueError(f"unknown splitting {name!r}; "
-                         f"available: {', '.join(sorted(SPLITTINGS))}") from None
 
 
 def workspace(shape):
@@ -87,27 +79,25 @@ def potential_flow(values, tau, potential, theta=0.0, work=None, line=None):
     return _multiply((_cis(tau, phase, arg, factor),), values)
 
 
-def apply_splitting(values, scheme, tau, potential, kinetic, theta=0.0,
-                    work=None, line=None):
-    """Propagate values over tau with the named splitting, in place.
+def apply_splitting(values, substeps, potentials, work=None):
+    """Run sub-steps ``(phase, tau, stage, theta)`` on values, in place:
+    the kinetic flow by ``phase``, a ``grid.kinetic_phase``, unless it is
+    None, then, unless tau is 0, the potential flow over tau of
+    ``potentials[stage]``, a ``(potential, line)`` pair as
+    :func:`potential_flow` takes it, with cubic coefficient theta.
 
-    ``kinetic`` lists the kinetic phase of each sub-step: for a stage whose
-    kinetic weight is b, ``grid.kinetic_phase(b * (alpha * tau))`` for each
-    alpha of the scheme (stages of the exponential integrators need
-    fractional, sometimes negative, weights).  ``potential`` and ``line``
-    are the stage potential as :func:`potential_flow` takes it; ``theta``
-    is the cubic coefficient as seen by this stage, i.e. already scaled by
-    b.  At theta = 0 the potential phase is fixed for the whole call, so
-    the factors of each distinct potential weight are built once, up front,
-    and each visit only multiplies.
+    At theta = 0 that phase is fixed within the call, so the factors of each
+    (stage, tau) are built once and each later visit only multiplies.
     """
-    _, betas = splitting_pairs(scheme)
-    factors = {} if theta else {b: potential_phase(b * tau, potential, line)
-                                for b in set(betas) if b}
-    for phase, b in zip(kinetic, betas):
-        values = kinetic_flow(values, phase)
-        if b and theta:
-            potential_flow(values, b * tau, potential, theta, work, line)
-        elif b:
-            _multiply(factors[b], values)
+    factors = {}
+    for phase, tau, stage, theta in substeps:
+        if phase is not None:
+            values = kinetic_flow(values, phase)
+        potential, line = potentials[stage]
+        if tau and theta:
+            potential_flow(values, tau, potential, theta, work, line)
+        elif tau:
+            if (stage, tau) not in factors:
+                factors[stage, tau] = potential_phase(tau, potential, line)
+            _multiply(factors[stage, tau], values)
     return values

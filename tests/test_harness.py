@@ -35,6 +35,18 @@ def test_steps_for_rejects_non_divisors_and_duplicates():
             _steps_for(4.0, [h])
 
 
+def test_pool_size_counts_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    assert harness._pool_size(RunConfig()) == 1
+    assert harness._pool_size(RunConfig(workers=3)) == 3
+    assert harness._pool_size(RunConfig(), requested=4) == 4
+    # without an affinity call, every CPU counts
+    monkeypatch.delattr(harness.os, "sched_getaffinity")
+    assert harness._pool_size(RunConfig()) == 2
+
+
 def test_convergence_study_small(tmp_path):
     cfg = RunConfig(**TINY)
     csv_path = str(tmp_path / "conv.csv")

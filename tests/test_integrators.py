@@ -15,17 +15,12 @@ from rgpe.integrators import (METHODS, OUTER_SCHEMES, DivergenceError,
                               method_order, pairs_per_step)
 from rgpe.model import Trap, TrapOnGrid, gaussian_state
 from rgpe.oracle import dense_kinetic
-from rgpe.spectral import Field, Grid
-from rgpe.splitting import apply_splitting, potential_flow, splitting_pairs
+import rgpe.splitting as splitting
+from rgpe.spectral import Field, Grid, kinetic_flow
+from rgpe.splitting import SPLITTINGS, potential_flow
 
 TRAP = Trap((0.8, 1.2), 0.5)
 SMALL = Grid(2, (3.5, 3.5), (8, 8))
-
-
-def _phases(grid, inner, tau, b=1.0):
-    """The kinetic phase of each sub-step of a split stage of weight b."""
-    return [grid.kinetic_phase(b * (a * tau))
-            for a in splitting_pairs(inner)[0]]
 
 
 def _small_state():
@@ -107,8 +102,11 @@ def test_cf2_stage_uses_midpoint_potential():
     t, h = 0.3, 0.05
     out = make_stepper("cf2+strang", tg, 1.0)(vals, t, h)
     pot, _ = tg.combination((1.0,), tg.coefficients((t + 0.5 * h,)))
-    expected = apply_splitting(vals.copy(), "strang", h, pot,
-                               _phases(SMALL, "strang", h), 1.0)
+    expected = vals.copy()
+    for a, beta in zip(*SPLITTINGS["strang"]):
+        expected = kinetic_flow(expected, SMALL.kinetic_phase(a * h))
+        if beta:
+            expected = potential_flow(expected, beta * h, pot, 1.0)
     np.testing.assert_allclose(out, expected, atol=1e-15)
 
 
@@ -264,6 +262,33 @@ def test_stepper_builds_one_kinetic_phase_per_distinct_substep(
     assert len(calls) == len(set(calls)) == builds
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_zero_theta_step_builds_one_potential_phase_per_stage_weight(
+        dim, monkeypatch):
+    # at theta = 0 a step builds exp(-i tau P) once per distinct (stage,
+    # nonzero beta) and only multiplies on later visits
+    calls = []
+    real = splitting.potential_phase
+
+    def counted(tau, *a, **k):
+        calls.append(tau)
+        return real(tau, *a, **k)
+
+    monkeypatch.setattr(splitting, "potential_phase", counted)
+    grid = Grid(dim, (3.5, 3.0, 2.5)[:dim], (8, 6, 4)[:dim])
+    tg = TrapOnGrid(Trap((0.8, 1.2, 1.1)[:dim], 0.5), grid)
+    vals = gaussian_state(grid, (1.1, 0.9, 1.0)[:dim])
+    for method in METHODS:
+        outer, inner = method.split("+")
+        betas = set(SPLITTINGS[inner][1]) - {0.0}
+        expected = sum(len(betas) if b else 1
+                       for _, _, b, _ in OUTER_SCHEMES[outer][2])
+        step = make_stepper(method, tg, 0.0)
+        calls.clear()
+        step(vals, 0.3, 0.05)
+        assert len(calls) == expected, method
+
+
 def test_evolve_leaves_its_grid_unchanged():
     grid = Grid(2, (8.0, 8.0), (32, 32))
     start = Field(grid, gaussian_state(grid, (1.1, 0.9)), 0.0, "rotating")
@@ -317,12 +342,15 @@ def test_3d_step_matches_full_size_potential_loop(method, theta):
         plane, line = tg.combination(row, tg.coefficients(times), shift)
         P = plane + line
         assert P.shape == grid.sizes
-        if b:
-            expected = apply_splitting(
-                expected, inner, frac * h, P,
-                _phases(grid, inner, frac * h, b), b * theta)
-        else:
+        if not b:
             expected = potential_flow(expected, frac * h, P)
+            continue
+        for a, beta in zip(*SPLITTINGS[inner]):
+            expected = kinetic_flow(
+                expected, grid.kinetic_phase(b * (a * (frac * h))))
+            if beta:
+                expected = potential_flow(expected, beta * (frac * h), P,
+                                          b * theta)
     out = make_stepper(method, tg, theta)(vals, t, h)
     assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
 

@@ -142,6 +142,9 @@ def test_kinetic_phase_factors_multiply_to_full_phase(half_widths, sizes):
             np.testing.assert_allclose(plane * np.exp(-0.5j * tau * k3sq),
                                        np.exp(-0.5j * tau * ksq),
                                        rtol=0, atol=1e-15 * scale)
+        else:
+            with pytest.raises(ValueError, match="3-D grids"):
+                grid.kinetic_phase(tau, in_plane=True)
 
 
 def test_field_density_and_norm():

@@ -9,21 +9,22 @@ import scipy.fft
 from rgpe.model import Trap, TrapOnGrid, gaussian_state
 from rgpe.spectral import Grid, kinetic_flow
 from rgpe.splitting import (SPLITTINGS, apply_splitting, potential_flow,
-                            potential_phase, splitting_pairs)
+                            potential_phase)
 
 GRID = Grid(2, (8.0, 8.0), (32, 32))
 
 
-def _phases(name, tau, b=1.0):
-    """The kinetic phase of each sub-step on GRID, as the stepper builds
-    them for a stage of kinetic weight b."""
-    return [GRID.kinetic_phase(b * (a * tau))
-            for a in splitting_pairs(name)[0]]
+def _substeps(name, tau, b=1.0, theta=0.0):
+    """The sub-steps on GRID of one stage (index 0) of kinetic weight b, as
+    the stepper builds them."""
+    return [(GRID.kinetic_phase(b * (a * tau)), beta * tau, 0, b * theta)
+            for a, beta in zip(*SPLITTINGS[name])]
 
 
 def _split(vals, name, tau, pot, theta=0.0):
     """apply_splitting on GRID with a unit kinetic weight."""
-    return apply_splitting(vals, name, tau, pot, _phases(name, tau), theta)
+    return apply_splitting(vals, _substeps(name, tau, theta=theta),
+                           [(pot, None)])
 
 
 def _state(rng):
@@ -34,7 +35,7 @@ def _state(rng):
 
 @pytest.mark.parametrize("name", sorted(SPLITTINGS))
 def test_coefficients_are_consistent(name):
-    alphas, betas = splitting_pairs(name)
+    alphas, betas = SPLITTINGS[name]
     assert len(alphas) == len(betas)
     # both sets of weights sum to one and the last potential weight is zero,
     # so consecutive applications merge their boundary kinetic sub-steps
@@ -47,19 +48,14 @@ def test_coefficients_are_consistent(name):
 def test_coefficients_are_palindromic(name):
     # time symmetry: alpha reads the same reversed, beta reversed and
     # shifted by the trailing zero
-    alphas, betas = splitting_pairs(name)
+    alphas, betas = SPLITTINGS[name]
     assert alphas == tuple(reversed(alphas))
     assert betas[:-1] == tuple(reversed(betas[:-1]))
 
 
 def test_pair_counts():
-    assert {n: len(splitting_pairs(n)[0]) for n in SPLITTINGS} == \
+    assert {n: len(SPLITTINGS[n][0]) for n in SPLITTINGS} == \
         {"strang": 2, "rkn74": 7, "rkn116": 11}
-
-
-def test_unknown_splitting():
-    with pytest.raises(ValueError, match="unknown splitting"):
-        splitting_pairs("leapfrog")
 
 
 def test_potential_flow_elementwise(rng):
@@ -109,12 +105,27 @@ def test_zero_theta_phase_reuse_matches_recomputed_phases(name, rng):
     vals = _state(rng)
     tau, coef = 0.3, 0.7
     expected = vals.copy()
-    for a, b in zip(*splitting_pairs(name)):
+    for a, b in zip(*SPLITTINGS[name]):
         expected = kinetic_flow(expected, GRID.kinetic_phase(coef * (a * tau)))
         if b:
             expected = potential_flow(expected, b * tau, pot)
-    out = apply_splitting(vals.copy(), name, tau, pot,
-                          _phases(name, tau, coef))
+    out = apply_splitting(vals.copy(), _substeps(name, tau, coef),
+                          [(pot, None)])
+    np.testing.assert_array_equal(out, expected)
+
+
+def test_pure_phase_substeps_keep_each_stage_potential(rng):
+    # equal taus of two stages must not share a cached factor, and a
+    # sub-step with no kinetic phase is a pure potential phase
+    vals = _state(rng)
+    pots = [rng.standard_normal(GRID.sizes) for _ in range(2)]
+    out = apply_splitting(vals.copy(), [(None, 0.3, 0, 0.0),
+                                        (None, 0.3, 1, 0.0),
+                                        (None, 0.3, 0, 0.0)],
+                          [(pot, None) for pot in pots])
+    expected = vals.copy()
+    for pot in pots + pots[:1]:
+        expected = potential_flow(expected, 0.3, pot)
     np.testing.assert_array_equal(out, expected)
 
 
