@@ -9,13 +9,13 @@ import pytest
 import scipy.fft
 from scipy.linalg import expm
 
+import rgpe.splitting as splitting
 from rgpe import _tables
 from rgpe.integrators import (METHODS, OUTER_SCHEMES, DivergenceError,
                               evolve, make_stepper, method_checksum,
                               method_order, pairs_per_step)
 from rgpe.model import Trap, TrapOnGrid, gaussian_state
 from rgpe.oracle import dense_kinetic
-import rgpe.splitting as splitting
 from rgpe.spectral import Field, Grid, kinetic_flow
 from rgpe.splitting import SPLITTINGS, potential_flow
 
