@@ -11,7 +11,6 @@ tautology.  Dense work is capped at small grids by construction.
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = ["GAUSS3_NODES", "DENSE_LIMIT", "potential_direct", "dense_kinetic",
            "build_dense", "alpha_triple", "magnus_omega6",
@@ -136,6 +135,8 @@ def midpoint_reference(A, b_of_t, u0, t0, t1, n_steps=10000):
     Unconditionally unitary for Hermitian input and structurally unrelated
     to the truncated-exponent path, hence usable as its referee.
     """
+    from scipy.linalg import expm  # here, so ``import rgpe`` stays light
+
     u = np.array(u0, dtype=complex)
     d = (t1 - t0) / n_steps
     for j in range(n_steps):
@@ -150,6 +151,8 @@ def dense_reference(grid, trap, values, t0, t1, n_micro=256, theta=0.0):
     spatial discretization is shared with the solver under test, so the
     comparison isolates the time stepping.
     """
+    from scipy.linalg import expm
+
     if theta:
         raise ValueError("the dense reference covers the linear case only")
     A = dense_kinetic(grid)
@@ -186,6 +189,8 @@ def local_order_check():
     Hermitian problems: the slope of its one-step error against the
     micro-step propagator (nominally 7), and the largest entry of the full
     minus the modified exponent for commuting (diagonal) samples."""
+    from scipy.linalg import expm
+
     rng = np.random.default_rng(2718)
     n = 16
     mats = []

@@ -114,28 +114,31 @@ class Grid:
                 np.exp((-0.5j * tau) * self._ksq_block))
 
 
-def kinetic_flow(values, phase):
+def kinetic_flow(values, phase, pad=0):
     """Multiply the spectrum of ``values`` by the factors of ``phase``.
 
     With ``phase = grid.kinetic_phase(tau)`` this is exp(i tau Laplacian / 2),
     the free flow of -Laplacian/2 over tau; tau may be negative (several
-    schemes take backward fractional steps).  A phase whose factors are all
-    constant along the last axis, ``grid.kinetic_phase(tau, in_plane=True)``,
-    is the identity there, so only the other axes are transformed.  Works
-    in place: ``values``, a complex128 array, is overwritten with the result
-    and returned, so pass a copy to keep the input.  Costs exactly one
-    transform pair.
+    schemes take backward fractional steps).  Only the axes along which a
+    factor varies are transformed, so the in-plane phase of
+    ``grid.kinetic_phase(tau, in_plane=True)`` leaves xi_3 alone.  The last
+    ``pad`` entries of the last axis are padding: the transforms skip them,
+    and the factors, which must be 1 there, multiply the whole array in one
+    contiguous pass.  Works in place: ``values``, a complex128 array, is
+    overwritten with the result and returned, so pass a copy to keep the
+    input.  Costs exactly one transform pair.
     """
     if values.dtype != np.complex128:
         raise TypeError(f"kinetic_flow works in place on complex128 arrays, "
                         f"got {values.dtype}")
-    axes = (None if any(f.shape[-1] > 1 for f in phase)
-            else tuple(range(values.ndim - 1)))
+    axes = tuple(ax for ax in range(values.ndim)
+                 if any(f.shape[ax] > 1 for f in phase))
+    view = values[..., :values.shape[-1] - pad]
     # both transforms write into the memory of values
-    hat = _fft.fftn(values, axes=axes, overwrite_x=True)
+    _fft.fftn(view, axes=axes, overwrite_x=True)
     for factor in phase:
-        np.multiply(hat, factor, out=hat)
-    _fft.ifftn(hat, axes=axes, overwrite_x=True)
+        np.multiply(values, factor, out=values)
+    _fft.ifftn(view, axes=axes, overwrite_x=True)
     return values
 
 

@@ -79,12 +79,14 @@ def potential_flow(values, tau, potential, theta=0.0, work=None, line=None):
     return _multiply((_cis(tau, phase, arg, factor),), values)
 
 
-def apply_splitting(values, substeps, potentials, work=None):
+def apply_splitting(values, substeps, potentials, work=None, pad=0):
     """Run sub-steps ``(phase, tau, stage, theta)`` on values, in place:
     the kinetic flow by ``phase``, a ``grid.kinetic_phase``, unless it is
     None, then, unless tau is 0, the potential flow over tau of
     ``potentials[stage]``, a ``(potential, line)`` pair as
-    :func:`potential_flow` takes it, with cubic coefficient theta.
+    :func:`potential_flow` takes it, with cubic coefficient theta.  The
+    last ``pad`` entries of the last axis of values are padding, as
+    :func:`kinetic_flow` takes it.
 
     At theta = 0 that phase is fixed within the call, so the factors of each
     (stage, tau) are built once and each later visit only multiplies.
@@ -92,7 +94,7 @@ def apply_splitting(values, substeps, potentials, work=None):
     factors = {}
     for phase, tau, stage, theta in substeps:
         if phase is not None:
-            values = kinetic_flow(values, phase)
+            values = kinetic_flow(values, phase, pad)
         potential, line = potentials[stage]
         if tau and theta:
             potential_flow(values, tau, potential, theta, work, line)

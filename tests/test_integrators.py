@@ -9,11 +9,12 @@ import pytest
 import scipy.fft
 from scipy.linalg import expm
 
+import rgpe.integrators as integrators
 import rgpe.splitting as splitting
 from rgpe import _tables
 from rgpe.integrators import (METHODS, OUTER_SCHEMES, DivergenceError,
-                              evolve, make_stepper, method_checksum,
-                              method_order, pairs_per_step)
+                              _axial_flow, _plan, evolve, make_stepper,
+                              method_checksum, method_order, pairs_per_step)
 from rgpe.model import Trap, TrapOnGrid, gaussian_state
 from rgpe.oracle import dense_kinetic
 from rgpe.spectral import Field, Grid, kinetic_flow
@@ -180,15 +181,16 @@ def test_step_matches_dense_stage_exponentials(method):
 @pytest.mark.parametrize("method", METHODS)
 def test_step_executes_nominal_transforms(method, monkeypatch):
     # count the transforms scipy really runs, not the kinetic flows, and the
-    # axes of each: a 3-D step at theta = 0 applies its axial flows as one
-    # matrix, so its pairs transform the (xi_1, xi_2) axes only
+    # lengths of the axes each transforms: a 3-D step at theta = 0 applies
+    # its axial flows as one matrix, so its pairs transform the (xi_1, xi_2)
+    # axes only, whatever their place in the stepper's buffer
     calls = []
     for name in ("fftn", "ifftn"):
         real = getattr(scipy.fft, name)
 
         def counted(x, *a, _real=real, _name=name, axes=None, **k):
-            calls.append((_name, tuple(range(x.ndim)) if axes is None
-                          else tuple(axes)))
+            axes = range(x.ndim) if axes is None else axes
+            calls.append((_name, tuple(x.shape[ax] for ax in axes)))
             return _real(x, *a, axes=axes, **k)
 
         monkeypatch.setattr(scipy.fft, name, counted)
@@ -196,15 +198,15 @@ def test_step_executes_nominal_transforms(method, monkeypatch):
     tg3 = TrapOnGrid(Trap((0.8, 1.2, 1.1), 0.5), grid)
     vals3 = gaussian_state(grid, (1.1, 0.9, 1.0))
     pairs = pairs_per_step(method)
-    for tg, vals, theta, axes in (
-            (TrapOnGrid(TRAP, SMALL), _small_state(), 10.0, (0, 1)),
-            (TrapOnGrid(TRAP, SMALL), _small_state(), 0.0, (0, 1)),
-            (tg3, vals3, 10.0, (0, 1, 2)), (tg3, vals3, 0.0, (0, 1))):
+    for tg, vals, theta, lengths in (
+            (TrapOnGrid(TRAP, SMALL), _small_state(), 10.0, (8, 8)),
+            (TrapOnGrid(TRAP, SMALL), _small_state(), 0.0, (8, 8)),
+            (tg3, vals3, 10.0, (12, 10, 8)), (tg3, vals3, 0.0, (12, 10))):
         calls.clear()
         make_stepper(method, tg, theta)(vals, 0.3, 0.05)
         assert len(calls) == 2 * pairs
-        assert calls.count(("fftn", axes)) == pairs
-        assert calls.count(("ifftn", axes)) == pairs
+        assert calls.count(("fftn", lengths)) == pairs
+        assert calls.count(("ifftn", lengths)) == pairs
 
 
 @pytest.mark.parametrize("theta", [0.0, 10.0])
@@ -223,6 +225,82 @@ def test_step_leaves_its_input_and_returns_fresh_arrays(method, theta):
         assert not np.shares_memory(one, vals)
         assert one.flags.c_contiguous and two.flags.c_contiguous
         np.testing.assert_array_equal(one, step(before, 0.3, 0.05))
+
+
+def _plain_step(method, tg, theta, vals, t, h):
+    """One step by hand on a plain C-contiguous array: the stepper's
+    sub-steps, with scipy.fft transforms and numpy multiplies in the
+    kernels' operand order, and no padding."""
+    outer, inner = method.split("+")
+    nodes, _, stages = OUTER_SCHEMES[outer]
+    grid = tg.grid
+    axial = grid.dim == 3 and not theta
+    taus = []
+    for j, alpha, beta in _plan(stages, inner):
+        frac, _, b, _ = stages[j]
+        kinetic = None if alpha is None else b * (alpha * (frac * h))
+        taus.append((kinetic, beta * (frac * h), j, b * theta))
+    u = np.array(vals, dtype=np.complex128)
+    if axial:
+        lines = [tg.combination(row, tg.coefficients(nodes))[1].ravel()
+                 for _, row, _, _ in stages]
+        u = np.matmul(u, _axial_flow(taus, lines, grid.wavenumbers[2]).T)
+    times = [t + c * h for c in nodes]
+    kappa = tg.trap.gradient_difference_coefficient(times[-1], times[0])
+    shift = _tables.BBK_WTILDE_COEF * h * h * kappa
+    potentials = [tg.combination(row, tg.coefficients(times),
+                                 shift if corrects else 0.0)
+                  for _, row, _, corrects in stages]
+    axes = (0, 1) if axial else None
+    for kinetic, tau, j, cubic in taus:
+        if kinetic is not None:
+            hat = scipy.fft.fftn(u, axes=axes)
+            for factor in grid.kinetic_phase(kinetic, in_plane=axial):
+                hat = hat * factor
+            u = scipy.fft.ifftn(hat, axes=axes)
+        if not tau:
+            continue
+        plane, line = potentials[j]
+        parts = [plane] if axial or line is None else [plane, line]
+        if cubic:
+            phase = plane + cubic * (np.square(u.real) + np.square(u.imag))
+            parts = [phase if line is None else phase + line]
+        for part in parts:
+            arg = -tau * part
+            factor = np.empty(arg.shape, np.complex128)
+            factor.real, factor.imag = np.cos(arg), np.sin(arg)
+            u = factor * u
+    return u
+
+
+@pytest.mark.parametrize("theta", [0.0, 10.0])
+@pytest.mark.parametrize("method", METHODS)
+def test_padded_step_equals_unpadded_step(method, theta, monkeypatch):
+    # the stepper's buffer, transformed axes last and the last axis padded,
+    # changes no bit of a step; the pad stays 0 and never reaches the result
+    buffers = []
+    real = integrators.apply_splitting
+
+    def recorded(values, *args, pad=0):
+        buffers.append((values, pad))
+        return real(values, *args, pad=pad)
+
+    monkeypatch.setattr(integrators, "apply_splitting", recorded)
+    for sizes in ((16, 16), (16, 12), (16, 16, 16)):
+        dim = len(sizes)
+        grid = Grid(dim, (6.0, 5.0, 4.0)[:dim], sizes)
+        tg = TrapOnGrid(Trap((0.8, 1.2, 1.1)[:dim], 0.5), grid)
+        vals = gaussian_state(grid, (1.1, 0.9, 1.0)[:dim])
+        buffers.clear()
+        out = make_stepper(method, tg, theta)(vals, 0.3, 0.05)
+        (buffer, pad), = buffers
+        last = sizes[1] if dim == 3 and not theta else sizes[-1]
+        assert pad == 1 and buffer.shape[-1] == last + pad
+        assert out.shape == sizes and out.flags.c_contiguous
+        assert not np.shares_memory(out, buffer)
+        assert not buffer[..., -pad:].any()
+        assert np.array_equal(out, _plain_step(method, tg, theta, vals,
+                                               0.3, 0.05))
 
 
 @pytest.mark.parametrize("dim", [2, 3])

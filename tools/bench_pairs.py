@@ -5,7 +5,8 @@ Runs ``perfbench/run.py`` on two trees: a base revision, extracted with
 ``--change``, a second extracted revision).  For each
 workload it runs N pairs, alternating which side goes first, and records per
 side and metric the median and quartiles, and per metric the number of pairs
-the working tree won.  Run from the repo root, for example:
+the working tree won and whether that meets the rule for claiming a gain
+(:func:`claim`).  Run from the repo root, for example:
 
     python3 tools/bench_pairs.py --number <n> --base <rev> --pairs 10 \\
         --workloads linear-3d --seed 0 --seconds 30 --trace 0
@@ -82,16 +83,29 @@ def bench(trees, workload, seed, seconds, trace, pairs, better):
             "attempted": sum(r["attempted"] for r in results),
             "metrics": {m: summarise([r["metrics"][m]["value"]
                                       for r in results]) for m in names}}
-    entry["wins"] = {}
+    entry["claim"] = {}
     for m in names:
         sign = 1.0 if better.get(m, "lower") == "lower" else -1.0
-        entry["wins"][m] = sum(
+        wins = sum(
             sign * c["metrics"][m]["value"] < sign * b["metrics"][m]["value"]
             for b, c in zip(runs["base"], runs["change"]))
-        base = entry["base"]["metrics"][m]["median"]
-        entry["change"]["metrics"][m]["ratio_to_base_median"] = (
-            entry["change"]["metrics"][m]["median"] / base if base else None)
+        base = entry["base"]["metrics"][m]
+        change = entry["change"]["metrics"][m]
+        change["ratio_to_base_median"] = (change["median"] / base["median"]
+                                          if base["median"] else None)
+        gap = sign * (base["median"] - change["median"])
+        entry["claim"][m] = claim(wins, pairs, gap, base["q3"] - base["q1"])
     return entry
+
+
+def claim(wins, pairs, gap, spread):
+    """The rule for claiming a gain: the change wins at least nine tenths of
+    the pairs (ties count for neither) and its median is better than the
+    base's by more than the base's quartile spread.  ``gap`` is the
+    median improvement, positive when the change is better."""
+    return {"wins": wins, "pairs": pairs, "median_gap": gap,
+            "base_spread": spread,
+            "met": 10 * wins >= 9 * pairs and gap > spread}
 
 
 def environment(base_sha, change_sha=None):

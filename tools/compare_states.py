@@ -2,12 +2,15 @@
 
 Extracts the base revision with ``bench_pairs.extract`` and runs the same
 cases on both trees, each in its own Python subprocess importing that
-tree's ``src``: every method at theta 0 and 10, on a 32^2 and a 16^3 grid,
-each giving its final state and a snapshot half-way, plus the states of one
-stepper reused over the steps h, -h, h.  Prints per array the
-largest pointwise difference relative to the largest modulus of the base
-state, and whether the two arrays are equal bit for bit.  Exits 1 if any
-array differs by more than 1e-12.  Run from the repo root, for example:
+tree's ``src``: every method at theta 0 and 10, on 32^2, 24x20, 16^3 and
+24x20x16 grids, each giving its final state and a snapshot half-way; the
+states of one stepper reused over the steps h, -h, h on each grid; and two
+runs at the benchmark's sizes (128^2 at theta 100 with bbk+rkn116, 64^3 at
+theta 0 with cf6af+rkn116), since whether two states agree bit for bit can
+depend on the strides.  Prints per array the largest pointwise difference
+relative to the largest modulus of the base state, and whether the two
+arrays are equal bit for bit.  Exits 1 if any array differs by more than
+1e-12.  Run from the repo root, for example:
 
     python3 tools/compare_states.py HEAD~1
 """
@@ -35,8 +38,10 @@ from rgpe.model import Trap, TrapOnGrid, gaussian_state
 from rgpe.spectral import Field, Grid
 
 states = {}
-for dim, size in ((2, 32), (3, 16)):
-    grid = Grid(dim, (8.0,) * dim, (size,) * dim)
+for sizes in ((32, 32), (24, 20), (16, 16, 16), (24, 20, 16)):
+    dim = len(sizes)
+    shape = "x".join(map(str, sizes))
+    grid = Grid(dim, (8.0,) * dim, sizes)
     trap = Trap((0.8, 1.2, 1.0)[:dim], 0.5)
     start = Field(grid, gaussian_state(grid, (1.1, 0.9, 1.0)[:dim]), 0.0,
                   "rotating")
@@ -44,7 +49,7 @@ for dim, size in ((2, 32), (3, 16)):
         for method in METHODS:
             res = evolve(start, trap, theta, method, 0.2, 4,
                          snapshot_times=(0.1,))
-            key = f"{method} theta={theta:g} {size}^{dim}"
+            key = f"{method} theta={theta:g} {shape}"
             states[key] = res.field.values
             states[key + " t=0.1"] = res.snapshots[0].values
     # one stepper reused over h, -h, h: a per-h phase cache must rebuild
@@ -53,7 +58,19 @@ for dim, size in ((2, 32), (3, 16)):
         values = start.values
         for n, h in enumerate((0.05, -0.05, 0.05)):
             values = step(values, 0.05 * (n % 2), h)
-            states[f"reused theta={theta:g} {size}^{dim} #{n}"] = values
+            states[f"reused theta={theta:g} {shape} #{n}"] = values
+# the benchmark's sizes, whose strides the small grids do not have
+for method, theta, sizes, t_final, n_steps in (
+        ("bbk+rkn116", 100.0, (128, 128), 0.02, 4),
+        ("cf6af+rkn116", 0.0, (64, 64, 64), 2 / 64, 2)):
+    dim = len(sizes)
+    grid = Grid(dim, (8.0,) * dim, sizes)
+    start = Field(grid, gaussian_state(grid, (1.1, 0.9, 1.0)[:dim]), 0.0,
+                  "rotating")
+    res = evolve(start, Trap((0.8, 1.2, 1.0)[:dim], 0.5), theta, method,
+                 t_final, n_steps)
+    states[f"{method} theta={theta:g} {'x'.join(map(str, sizes))}"] = \
+        res.field.values
 np.savez(sys.argv[1], **states)
 """
 
@@ -84,7 +101,7 @@ def main(argv=None):
         new = change[key]
         rel = float(np.abs(new - ref).max() / np.abs(ref).max())
         worst = max(worst, rel)
-        print(f"  {key:34s} max rel diff {rel:.2e}  "
+        print(f"  {key:40s} max rel diff {rel:.2e}  "
               f"array_equal {np.array_equal(new, ref)}")
     ok = worst <= TOL
     print(f"{len(base)} cases, worst {worst:.2e} "
