@@ -160,6 +160,7 @@ def make_stepper(method, trap_grid, theta):
                    if axial else grid.kinetic_phase)
     # the buffer's layout: its axes are the grid's in this order
     order = (2, 0, 1) if axial else tuple(range(grid.dim))
+    grid_order = tuple(np.argsort(order))
     shape = tuple(grid.sizes[ax] + (ax == order[-1]) for ax in order)
     work = workspace(shape) if theta else None
 
@@ -218,7 +219,7 @@ def make_stepper(method, trap_grid, theta):
             potentials.append((padded(plane, 0.0), None if line is None
                                or axial else padded(line, 0.0)))
         apply_splitting(buffer, substeps, potentials, work, pad=1)
-        return view.transpose(np.argsort(order)).copy()
+        return view.transpose(grid_order).copy()
 
     return step
 

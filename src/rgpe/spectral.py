@@ -131,8 +131,10 @@ def kinetic_flow(values, phase, pad=0):
     if values.dtype != np.complex128:
         raise TypeError(f"kinetic_flow works in place on complex128 arrays, "
                         f"got {values.dtype}")
-    axes = tuple(ax for ax in range(values.ndim)
-                 if any(f.shape[ax] > 1 for f in phase))
+    lengths = [max(n) for n in zip(*[f.shape for f in phase])]
+    # None when every axis is transformed: explicit axes cost scipy more
+    axes = (None if min(lengths) > 1
+            else tuple(ax for ax, n in enumerate(lengths) if n > 1))
     view = values[..., :values.shape[-1] - pad]
     # both transforms write into the memory of values
     _fft.fftn(view, axes=axes, overwrite_x=True)
