@@ -118,6 +118,15 @@ def test_kinetic_flow_works_in_place(rng):
     expected = np.fft.ifftn(plane * np.fft.fftn(v, axes=(0, 1)), axes=(0, 1))
     assert kinetic_flow(v, phase) is v
     np.testing.assert_allclose(v, expected, atol=1e-13)
+    # with a padded last axis the transforms skip the pad, and factors of 1
+    # there keep its zeros: the unpadded result, bit for bit
+    padded = np.zeros((8, 12, 7), np.complex128)
+    padded[..., :6] = v
+    column, block = phase = grid.kinetic_phase(0.3)
+    block = np.concatenate([block, np.ones((1, 12, 1))], axis=2)
+    assert kinetic_flow(padded, (column, block), pad=1) is padded
+    assert np.array_equal(padded[..., :6], kinetic_flow(v, phase))
+    assert not padded[..., 6].any()
     with pytest.raises(TypeError, match="complex128"):
         kinetic_flow(v.real.copy(), phase)
 
