@@ -24,10 +24,6 @@ EXIT_RUNTIME = 3
 EXIT_DIVERGED = 4
 
 
-def _bundled(name):
-    return os.path.join(os.path.dirname(__file__), "configs", name)
-
-
 def _load_config(args):
     cfg = parse_config(args.config) if args.config else RunConfig()
     over = {}

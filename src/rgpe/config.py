@@ -144,7 +144,9 @@ def parse_config(path):
     """Read and validate a config file; unknown keys are rejected loudly."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no interpolation: a value such as out_dir = runs/50% is taken as written
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   interpolation=None)
     try:
         with open(path) as fh:
             cp.read_file(fh, source=path)

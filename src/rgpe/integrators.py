@@ -24,8 +24,8 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import _tables
-from .model import TrapOnGrid
-from .spectral import Field
+from .model import Trap, TrapOnGrid
+from .spectral import Field, Grid
 from .splitting import SPLIT_ORDERS, SPLITTINGS, apply_splitting, workspace
 
 __all__ = ["METHODS", "OUTER_SCHEMES", "method_order", "pairs_per_step",
@@ -135,19 +135,17 @@ def make_stepper(method, trap_grid, theta):
     :func:`apply_splitting` and returns a fresh C-contiguous copy: the
     caller's array is never written.
 
-    The buffer has the transformed axes last and its last axis padded by one
-    element, which keeps the strides of the transformed axes off powers of
-    two, whose cache-set conflicts slow a transform pair by up to 1.6x.  The
-    state is 0 in the pad, the kinetic phases are 1 there and the padded
-    stage potentials 0, so the pad stays 0 while every multiply runs over
-    the whole buffer in one contiguous pass.
+    The buffer's last axis is padded by one element, which keeps the
+    strides off powers of two, whose cache-set conflicts slow a transform
+    pair by up to 1.6x.  The state is 0 in the pad, the kinetic phases 1
+    and the stage potentials 0, so the pad stays 0 while every multiply
+    runs over the whole buffer in one contiguous pass.
 
-    On a 3-D grid at theta = 0 the axial parts of all sub-flows commute with
-    the in-plane ones, so a step first applies them together as one matrix
-    along xi_3 (:func:`_axial_flow`, built per h), and then runs the
-    sub-steps with in-plane kinetic phases and no axial line, each transform
-    pair acting on the (xi_1, xi_2) axes only.  There xi_3 is the buffer's
-    first axis, and the matrix product takes the place of the copy.
+    On a 3-D grid at theta = 0 the trap rotates only the (xi_1, xi_2) plane,
+    so the axial parts of all sub-flows commute with the in-plane ones.  A
+    step applies them first, as one matrix along xi_3 (:func:`_axial_flow`,
+    built per h) in place of the copy, and then runs the 2-D step of the
+    (xi_1, xi_2) grid on the buffer's M3 planes, with xi_3 its first axis.
     """
     (nodes, _, stages), inner = _parse(method)
     plan = _plan(stages, inner)
@@ -155,19 +153,18 @@ def make_stepper(method, trap_grid, theta):
     theta = float(theta)
     corrected = any(corrects for *_, corrects in stages)
     kappa = trap_grid.trap.gradient_difference_coefficient
-    axial = grid.dim == 3 and not theta
-    build_phase = (functools.partial(grid.kinetic_phase, in_plane=True)
-                   if axial else grid.kinetic_phase)
-    # the buffer's layout: its axes are the grid's in this order
-    order = (2, 0, 1) if axial else tuple(range(grid.dim))
-    grid_order = tuple(np.argsort(order))
-    shape = tuple(grid.sizes[ax] + (ax == order[-1]) for ax in order)
+    shape = grid.sizes[:-1] + (grid.sizes[-1] + 1,)
+    axial = None  # the 3-D trap grid, whose lines S_3 takes, at theta = 0
+    if grid.dim == 3 and not theta:
+        axial, trap = trap_grid, trap_grid.trap
+        trap_grid = TrapOnGrid(Trap(trap.gammas[:2], trap.rotation_rate),
+                               Grid(2, grid.half_widths[:2], grid.sizes[:2]))
+        shape = (grid.sizes[2], grid.sizes[0], grid.sizes[1] + 1)
     work = workspace(shape) if theta else None
 
     def padded(array, fill):
-        """``array``, on the grid's axes, in the buffer's layout; its last
-        axis is padded with ``fill`` unless it broadcasts along it."""
-        array = array.transpose(order)
+        """``array`` with its last axis padded with ``fill``, unless it
+        broadcasts along it."""
         if array.shape[-1] == 1:
             return array
         out = np.full(array.shape[:-1] + (array.shape[-1] + 1,), fill,
@@ -186,14 +183,15 @@ def make_stepper(method, trap_grid, theta):
 
         @functools.cache  # one per distinct tau
         def phase(tau):
-            return tuple(padded(factor, 1.0) for factor in build_phase(tau))
+            return tuple(padded(factor, 1.0)
+                         for factor in trap_grid.grid.kinetic_phase(tau))
 
         substeps = [(None if kinetic is None else phase(kinetic), *rest)
                     for kinetic, *rest in taus]
-        if not axial:
+        if axial is None:
             return substeps, None
-        coefs = trap_grid.coefficients(nodes)  # xi_3 does not rotate
-        lines = [trap_grid.combination(row, coefs)[1].ravel()
+        coefs = axial.coefficients(nodes)  # xi_3 does not rotate
+        lines = [axial.combination(row, coefs)[1].ravel()
                  for _, row, _, _ in stages]
         return substeps, _axial_flow(taus, lines, grid.wavenumbers[2])
 
@@ -216,10 +214,10 @@ def make_stepper(method, trap_grid, theta):
         for _, row, _, corrects in stages:
             plane, line = trap_grid.combination(row, coefs,
                                                 shift if corrects else 0.0)
-            potentials.append((padded(plane, 0.0), None if line is None
-                               or axial else padded(line, 0.0)))
+            potentials.append((padded(plane, 0.0),
+                               None if line is None else padded(line, 0.0)))
         apply_splitting(buffer, substeps, potentials, work, pad=1)
-        return view.transpose(grid_order).copy()
+        return (view if axial is None else view.transpose(1, 2, 0)).copy()
 
     return step
 

@@ -27,10 +27,9 @@ _FRAME_NAMES = {v: k for k, v in _FRAME_CODES.items()}
 class Grid:
     """Uniform periodic 2-D or 3-D grid; it stores nothing mutable.
 
-    |k|^2 is kept as two small broadcastable pieces, the first axis as a
-    column of shape (M1, 1[, 1]) and the trailing axes as a block of shape
-    (1, M2[, M3]), so no full-size array is stored; a 3-D grid also keeps
-    the (xi_1, xi_2) part k_1^2 + k_2^2 on an (M1, M2, 1) plane.  The
+    |k|^2 is kept as one (M1, M2) array in 2-D and, in 3-D, as two
+    broadcastable parts, the first axis's column (M1, 1, 1) and the trailing
+    axes' block (1, M2, M3), so no full-size 3-D array is stored.  The
     spacing 2L/M must be finite and positive and the largest |k|^2,
     sum_l (pi M_l / 2 L_l)^2, finite.
     """
@@ -66,11 +65,8 @@ class Grid:
             (np.pi / L) * np.fft.fftfreq(m, 1.0 / m)
             for L, m in zip(self.half_widths, sizes))
         ksq = [k ** 2 for k in self.wavenumbers]
-        self._ksq_column = ksq[0].reshape((-1,) + (1,) * (dim - 1))
-        trailing = ksq[1] if dim == 2 else ksq[1][:, None] + ksq[2]
-        self._ksq_block = trailing.reshape((1,) + trailing.shape)
-        self._ksq_plane = ((ksq[0][:, None] + ksq[1])[:, :, None]
-                           if dim == 3 else None)
+        self._ksq = ((ksq[0][:, None] + ksq[1],) if dim == 2 else
+                     (ksq[0][:, None, None], (ksq[1][:, None] + ksq[2])[None]))
 
     def __eq__(self, other):
         return (isinstance(other, Grid) and self.dim == other.dim
@@ -97,21 +93,11 @@ class Grid:
     def l2_norm(self, values):
         return float(np.sqrt(self.cell_volume * np.vdot(values, values).real))
 
-    def kinetic_phase(self, tau, in_plane=False):
-        """exp(-i tau |k|^2 / 2) as two broadcastable factors, the first
-        axis's column and the trailing axes' block, whose product is the
-        full phase.
-
-        With ``in_plane``, on a 3-D grid, only the (xi_1, xi_2) part
-        exp(-i tau (k_1^2 + k_2^2) / 2), as one factor on the (M1, M2, 1)
-        plane: the flow of the in-plane axes, which leaves xi_3 alone.
-        """
-        if in_plane:
-            if self.dim != 3:
-                raise ValueError("in-plane kinetic phases are for 3-D grids")
-            return (np.exp((-0.5j * tau) * self._ksq_plane),)
-        return (np.exp((-0.5j * tau) * self._ksq_column),
-                np.exp((-0.5j * tau) * self._ksq_block))
+    def kinetic_phase(self, tau):
+        """exp(-i tau |k|^2 / 2) as exp(-i tau part / 2) for each stored part
+        of |k|^2: one (M1, M2) factor in 2-D, a column and a block in 3-D
+        whose broadcast product is the full phase."""
+        return tuple(np.exp((-0.5j * tau) * part) for part in self._ksq)
 
 
 def kinetic_flow(values, phase, pad=0):
@@ -119,22 +105,22 @@ def kinetic_flow(values, phase, pad=0):
 
     With ``phase = grid.kinetic_phase(tau)`` this is exp(i tau Laplacian / 2),
     the free flow of -Laplacian/2 over tau; tau may be negative (several
-    schemes take backward fractional steps).  Only the axes along which a
-    factor varies are transformed, so the in-plane phase of
-    ``grid.kinetic_phase(tau, in_plane=True)`` leaves xi_3 alone.  The last
-    ``pad`` entries of the last axis are padding: the transforms skip them,
-    and the factors, which must be 1 there, multiply the whole array in one
-    contiguous pass.  Works in place: ``values``, a complex128 array, is
-    overwritten with the result and returned, so pass a copy to keep the
-    input.  Costs exactly one transform pair.
+    schemes take backward fractional steps).  Factors with fewer axes than
+    ``values`` act on its trailing axes alone, so a 2-D grid's phase flows
+    each plane of a batch of planes.  The last ``pad`` entries of the last
+    axis are padding: the transforms skip them, and the factors, which must
+    be 1 there, multiply the whole array in one contiguous pass.  Works in
+    place: ``values``, a complex128 array, is overwritten with the result
+    and returned, so pass a copy to keep the input.  Costs exactly one
+    transform pair.
     """
     if values.dtype != np.complex128:
         raise TypeError(f"kinetic_flow works in place on complex128 arrays, "
                         f"got {values.dtype}")
-    lengths = [max(n) for n in zip(*[f.shape for f in phase])]
+    span = max(factor.ndim for factor in phase)
     # None when every axis is transformed: explicit axes cost scipy more
-    axes = (None if min(lengths) > 1
-            else tuple(ax for ax, n in enumerate(lengths) if n > 1))
+    axes = (None if span == values.ndim
+            else tuple(range(values.ndim - span, values.ndim)))
     view = values[..., :values.shape[-1] - pad]
     # both transforms write into the memory of values
     _fft.fftn(view, axes=axes, overwrite_x=True)
@@ -145,7 +131,8 @@ def kinetic_flow(values, phase, pad=0):
 
 
 class Field:
-    """A complex-valued state on a grid, tagged with time and frame."""
+    """A complex-valued state on a grid, tagged with a finite time and a
+    frame."""
 
     __slots__ = ("grid", "values", "time", "frame")
 
@@ -156,9 +143,12 @@ class Field:
                              f"grid sizes {grid.sizes}")
         if frame not in _FRAME_CODES:
             raise ValueError(f"unknown frame {frame!r}")
+        time = float(time)
+        if not math.isfinite(time):
+            raise ValueError(f"field time must be finite, got {time}")
         self.grid = grid
         self.values = values
-        self.time = float(time)
+        self.time = time
         self.frame = frame
 
     def density(self):

@@ -7,7 +7,7 @@ import pytest
 import rgpe.cli
 import rgpe.harness
 import rgpe.oracle
-from rgpe.cli import _bundled, main
+from rgpe.cli import main
 from rgpe.config import parse_config
 from rgpe.integrators import METHODS, DivergenceError, method_checksum
 
@@ -42,6 +42,18 @@ def test_simulate_writes_outputs(tiny_cfg, tmp_path):
     assert os.path.exists(os.path.join(out, "state-t0.5.field"))
     echoed = parse_config(os.path.join(out, "effective-config.cfg"))
     assert echoed.sizes == (8, 8) and echoed.out_dir == out
+
+
+def test_simulate_reruns_its_effective_config_with_percent(tiny_cfg,
+                                                          tmp_path):
+    # a % in a value is taken as written, not as configparser interpolation
+    out = str(tmp_path / "a%b")
+    assert main(["--config", tiny_cfg, "--out", out, "simulate"]) == 0
+    echoed = os.path.join(out, "effective-config.cfg")
+    assert parse_config(echoed).out_dir == out
+    os.remove(os.path.join(out, "final.field"))
+    assert main(["--config", echoed, "simulate"]) == 0
+    assert os.path.exists(os.path.join(out, "final.field"))
 
 
 def test_simulate_is_deterministic(tiny_cfg, tmp_path):
@@ -301,12 +313,13 @@ def test_failed_oracle_figures_exit_3(monkeypatch, capsys):
 
 
 def test_bundled_configs_parse():
-    bench = parse_config(_bundled("testequation-2d.cfg"))
+    configs = os.path.join(os.path.dirname(rgpe.cli.__file__), "configs")
+    bench = parse_config(os.path.join(configs, "testequation-2d.cfg"))
     assert bench.sizes == (64, 64) and bench.t_final == 4.0
     assert bench.theta == 1.0 and bench.omega == 0.5
     assert bench.gammas == (0.8, 1.2)
     assert bench.method == "cf6af+rkn116"
-    vortex = parse_config(_bundled("bec-vortex.cfg"))
+    vortex = parse_config(os.path.join(configs, "bec-vortex.cfg"))
     assert vortex.sizes == (128, 128) and vortex.theta == 100.0
     assert vortex.initial_state == "vortex" and vortex.t_final == 15.0
     assert vortex.n_steps == 3000

@@ -81,6 +81,16 @@ def test_roundtrip(tmp_path):
     assert parse_config(path) == cfg
 
 
+def test_percent_in_a_value_round_trips(tmp_path):
+    # configparser's default interpolation would reject a bare %
+    assert parse_config(_write(tmp_path, "[run]\nout_dir = runs/50%\n")
+                        ).out_dir == "runs/50%"
+    cfg = RunConfig(out_dir="runs/50%/a%(b)s")
+    path = str(tmp_path / "echo.cfg")
+    write_config(cfg, path)
+    assert parse_config(path) == cfg
+
+
 @pytest.mark.parametrize("text", ["n_steps = abc", "sizes = 64.0, 64",
                                   "theta = one"])
 def test_unparseable_value_names_key_and_path(tmp_path, text):

@@ -252,11 +252,13 @@ def _plain_step(method, tg, theta, vals, t, h):
                                  shift if corrects else 0.0)
                   for _, row, _, corrects in stages]
     axes = (0, 1) if axial else None
+    # at 3-D theta = 0 the kinetic factor is the (xi_1, xi_2) plane grid's
+    kgrid = Grid(2, grid.half_widths[:2], grid.sizes[:2]) if axial else grid
     for kinetic, tau, j, cubic in taus:
         if kinetic is not None:
             hat = scipy.fft.fftn(u, axes=axes)
-            for factor in grid.kinetic_phase(kinetic, in_plane=axial):
-                hat = hat * factor
+            for factor in kgrid.kinetic_phase(kinetic):
+                hat = hat * (factor[..., None] if axial else factor)
             u = scipy.fft.ifftn(hat, axes=axes)
         if not tau:
             continue
@@ -489,9 +491,15 @@ def test_evolve_validation():
     with pytest.raises(ValueError, match="step boundary"):
         evolve(start, TRAP, 0.0, "cf2+strang", 1.0, 4,
                snapshot_times=(0.3,))
+    # Field rejects a NaN time, so set one after construction: evolve's own
+    # step-size check still catches it
+    with pytest.raises(ValueError, match="finite"):
+        Field(grid, vals, float("nan"), "rotating")
+    nan_start = Field(grid, vals, 0.0, "rotating")
+    nan_start.time = float("nan")
     with pytest.raises(ValueError, match="step size h = nan"):
-        evolve(Field(grid, vals, float("nan"), "rotating"), TRAP, 0.0,
-               "cf2+strang", 1.0, 4, snapshot_times=(0.5,))
+        evolve(nan_start, TRAP, 0.0, "cf2+strang", 1.0, 4,
+               snapshot_times=(0.5,))
 
 
 def test_evolve_divergence_raises():

@@ -112,21 +112,23 @@ def test_kinetic_flow_works_in_place(rng):
     out = kinetic_flow(v, phase)
     assert out is v
     np.testing.assert_allclose(out, expected, atol=1e-13)
-    # the in-plane phase is the flow of the (xi_1, xi_2) axes alone
-    (plane,) = phase = grid.kinetic_phase(0.3, in_plane=True)
-    assert plane.shape == (8, 12, 1)
-    expected = np.fft.ifftn(plane * np.fft.fftn(v, axes=(0, 1)), axes=(0, 1))
-    assert kinetic_flow(v, phase) is v
-    np.testing.assert_allclose(v, expected, atol=1e-13)
-    # with a padded last axis the transforms skip the pad, and factors of 1
-    # there keep its zeros: the unpadded result, bit for bit
-    padded = np.zeros((8, 12, 7), np.complex128)
-    padded[..., :6] = v
-    column, block = phase = grid.kinetic_phase(0.3)
-    block = np.concatenate([block, np.ones((1, 12, 1))], axis=2)
-    assert kinetic_flow(padded, (column, block), pad=1) is padded
-    assert np.array_equal(padded[..., :6], kinetic_flow(v, phase))
-    assert not padded[..., 6].any()
+    # a 2-D phase on a batch of planes is the flow of the trailing axes alone
+    (plane,) = phase = Grid(2, (3.0, 4.0), (8, 12)).kinetic_phase(0.3)
+    assert plane.shape == (8, 12)
+    batch = v.transpose(2, 0, 1).copy()
+    expected = np.fft.ifftn(plane * np.fft.fftn(batch, axes=(1, 2)),
+                            axes=(1, 2))
+    assert kinetic_flow(batch, phase) is batch
+    np.testing.assert_allclose(batch, expected, atol=1e-13)
+    # on an (M3, M1, M2 + 1) batch the transforms skip the pad, and factors
+    # of 1 there keep its zeros: the 2-D flow of each plane, bit for bit
+    padded = np.zeros((6, 8, 13), np.complex128)
+    padded[..., :12] = batch
+    ones = np.concatenate([plane, np.ones((8, 1))], axis=1)
+    assert kinetic_flow(padded, (ones,), pad=1) is padded
+    for got, one in zip(padded, batch):
+        assert np.array_equal(got[:, :12], kinetic_flow(one.copy(), phase))
+    assert not padded[..., 12].any()
     with pytest.raises(TypeError, match="complex128"):
         kinetic_flow(v.real.copy(), phase)
 
@@ -137,23 +139,25 @@ def test_kinetic_phase_factors_multiply_to_full_phase(half_widths, sizes):
     grid = Grid(len(sizes), half_widths, sizes)
     ksq = sum(k * k for k in np.meshgrid(*grid.wavenumbers, indexing="ij"))
     for tau in (0.37, -1.3, 0.01):
-        column, block = grid.kinetic_phase(tau)
-        assert column.shape == (sizes[0],) + (1,) * (len(sizes) - 1)
-        assert block.shape == (1,) + sizes[1:]
+        factors = grid.kinetic_phase(tau)
+        if len(sizes) == 2:  # one full-size factor
+            (product,) = factors
+            assert product.shape == sizes
+        else:  # the first axis's column and the trailing axes' block
+            column, block = factors
+            assert column.shape == (sizes[0], 1, 1)
+            assert block.shape == (1,) + sizes[1:]
+            product = column * block
         # the phases agree to the roundoff of their arguments tau |k|^2 / 2
         scale = max(1.0, 0.5 * abs(tau) * ksq.max())
-        np.testing.assert_allclose(column * block,
-                                   np.exp(-0.5j * tau * ksq),
+        np.testing.assert_allclose(product, np.exp(-0.5j * tau * ksq),
                                    rtol=0, atol=1e-15 * scale)
-        if len(sizes) == 3:  # times the xi_3 part, the in-plane phase
-            (plane,) = grid.kinetic_phase(tau, in_plane=True)
+        if len(sizes) == 3:  # the (xi_1, xi_2) grid's phase times xi_3's
+            (plane,) = Grid(2, half_widths[:2], sizes[:2]).kinetic_phase(tau)
             k3sq = grid.wavenumbers[2] ** 2
-            np.testing.assert_allclose(plane * np.exp(-0.5j * tau * k3sq),
-                                       np.exp(-0.5j * tau * ksq),
-                                       rtol=0, atol=1e-15 * scale)
-        else:
-            with pytest.raises(ValueError, match="3-D grids"):
-                grid.kinetic_phase(tau, in_plane=True)
+            np.testing.assert_allclose(
+                plane[..., None] * np.exp(-0.5j * tau * k3sq),
+                np.exp(-0.5j * tau * ksq), rtol=0, atol=1e-15 * scale)
 
 
 def test_field_density_and_norm():
@@ -199,6 +203,13 @@ def test_field_dump_rejects_corruption(tmp_path, rng):
     (tmp_path / "long.field").write_bytes(raw + b"\0" * 8)
     with pytest.raises(ValueError):
         read_field(tmp_path / "long.field")
+
+    # Field takes only finite times, so a time that reads NaN is corrupt
+    at = 12 + 12 * grid.dim  # after magic, version, dim, sizes, half widths
+    (tmp_path / "nan.field").write_bytes(
+        raw[:at] + struct.pack("<d", float("nan")) + raw[at + 8:])
+    with pytest.raises(ValueError, match="time must be finite"):
+        read_field(tmp_path / "nan.field")
 
     # grids are 2-D or 3-D, so a 1-D header is corrupt
     (tmp_path / "dim1.field").write_bytes(raw[:8] + struct.pack("<I", 1)

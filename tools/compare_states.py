@@ -3,14 +3,16 @@
 Extracts the base revision with ``bench_pairs.extract`` and runs the same
 cases on both trees, each in its own Python subprocess importing that
 tree's ``src``: every method at theta 0 and 10, on 32^2, 24x20, 16^3 and
-24x20x16 grids, each giving its final state and a snapshot half-way; the
-states of one stepper reused over the steps h, -h, h on each grid; and two
-runs at the benchmark's sizes (128^2 at theta 100 with bbk+rkn116, 64^3 at
-theta 0 with cf6af+rkn116), since whether two states agree bit for bit can
-depend on the strides.  Prints per array the largest pointwise difference
-relative to the largest modulus of the base state, and whether the two
-arrays are equal bit for bit.  Exits 1 if any array differs by more than
-1e-12.  Run from the repo root, for example:
+24x20x16 grids with half width 8 on every axis and on a 24x20x16 grid with
+the unequal, non-dyadic half widths (7.3, 5.1, 4.2), each giving its final
+state and a snapshot half-way; the states of one stepper reused over the
+steps h, -h, h on each grid; and two runs at the benchmark's sizes (128^2
+at theta 100 with bbk+rkn116, 64^3 at theta 0 with cf6af+rkn116), since
+whether two states agree bit for bit can depend on the strides.  Prints per
+array the largest pointwise difference relative to the largest modulus of
+the base state, and whether the two arrays are equal bit for bit.  Exits 1
+if any array differs by more than 1e-12.  Run from the repo root, for
+example:
 
     python3 tools/compare_states.py HEAD~1
 """
@@ -38,10 +40,14 @@ from rgpe.model import Trap, TrapOnGrid, gaussian_state
 from rgpe.spectral import Field, Grid
 
 states = {}
-for sizes in ((32, 32), (24, 20), (16, 16, 16), (24, 20, 16)):
+for sizes, half_widths in (((32, 32), None), ((24, 20), None),
+                           ((16, 16, 16), None), ((24, 20, 16), None),
+                           ((24, 20, 16), (7.3, 5.1, 4.2))):
     dim = len(sizes)
     shape = "x".join(map(str, sizes))
-    grid = Grid(dim, (8.0,) * dim, sizes)
+    if half_widths:
+        shape += " L=" + ",".join(map(str, half_widths))
+    grid = Grid(dim, half_widths or (8.0,) * dim, sizes)
     trap = Trap((0.8, 1.2, 1.0)[:dim], 0.5)
     start = Field(grid, gaussian_state(grid, (1.1, 0.9, 1.0)[:dim]), 0.0,
                   "rotating")
