@@ -103,11 +103,12 @@ def main(argv=None):
 
     print(f"base {sha[:12]} against the working tree")
     worst = 0.0
+    width = max(map(len, base))
     for key, ref in base.items():
         new = change[key]
         rel = float(np.abs(new - ref).max() / np.abs(ref).max())
         worst = max(worst, rel)
-        print(f"  {key:40s} max rel diff {rel:.2e}  "
+        print(f"  {key:{width}s} max rel diff {rel:.2e}  "
               f"array_equal {np.array_equal(new, ref)}")
     ok = worst <= TOL
     print(f"{len(base)} cases, worst {worst:.2e} "
