@@ -13,7 +13,7 @@ import sys
 from . import harness, oracle
 from .config import RunConfig, parse_config, write_config
 from .integrators import (DivergenceError, METHODS, evolve, method_checksum,
-                          method_order, pairs_per_step, step_grid)
+                          method_order, pairs_per_step)
 from .model import Trap
 from .spectral import write_field
 from .splitting import SPLIT_ORDERS, SPLITTINGS
@@ -45,27 +45,26 @@ def _echo_config(cfg):
     write_config(cfg, os.path.join(cfg.out_dir, "effective-config.cfg"))
 
 
-def _methods_arg(args, default):
-    methods = list(default)
-    if args.methods:
-        methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    harness.check_methods(methods)
-    return methods
-
-
-def _stepsizes(cfg, args, self_convergence=False):
-    """The study's stepsizes, checked before anything is written."""
+def _study(cfg, args, default, self_convergence=False):
+    """The study's methods and stepsizes, every run of it checked by
+    ``harness.study_runs`` before anything is written."""
+    methods = (list(default) if args.methods is None else
+               [m.strip() for m in args.methods.split(",") if m.strip()])
     span = cfg.t_final - cfg.t0
-    if getattr(args, "steps", None) is not None:
-        counts = [int(s) for s in str(args.steps).split(",")]
-        if min(counts) < 1:
-            raise ValueError(f"step counts must be positive, got {args.steps}")
-        stepsizes = [step_grid(cfg.t0, cfg.t_final, n)[0] for n in counts]
-    else:
+    if args.steps is None:
         stepsizes = (list(cfg.stepsizes)
                      or [span / 2 ** m for m in range(4, 10)])
-    harness.check_stepsizes(cfg, stepsizes, self_convergence)
-    return stepsizes
+    else:
+        counts = [int(s) for s in args.steps.split(",")]
+        if min(counts) < 1:
+            raise ValueError(f"step counts must be positive, got {args.steps}")
+        try:
+            stepsizes = [span / n for n in counts]
+        except OverflowError:
+            raise ValueError("a step count beyond float range has a step "
+                             "size below the resolution of the time axis")
+    harness.study_runs(cfg, methods, stepsizes, self_convergence)
+    return methods, stepsizes
 
 
 def _snapshot_name(time):
@@ -113,8 +112,7 @@ def cmd_simulate(args):
 
 def cmd_converge(args):
     cfg = _load_config(args)
-    methods = _methods_arg(args, METHODS)
-    stepsizes = _stepsizes(cfg, args)
+    methods, stepsizes = _study(cfg, args, METHODS)
     _echo_config(cfg)
     csv_path = os.path.join(cfg.out_dir, "convergence.csv")
     study = harness.convergence_study(cfg, methods, stepsizes,
@@ -130,8 +128,8 @@ def cmd_converge(args):
 
 def cmd_self_converge(args):
     cfg = _load_config(args)
-    methods = _methods_arg(args, [cfg.method])
-    stepsizes = _stepsizes(cfg, args, self_convergence=True)
+    methods, stepsizes = _study(cfg, args, [cfg.method],
+                                self_convergence=True)
     _echo_config(cfg)
     for m in methods:
         csv_path = os.path.join(cfg.out_dir,

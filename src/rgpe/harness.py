@@ -1,12 +1,13 @@
 """Convergence studies and self-convergence.
 
 Errors are absolute discrete L2 errors at the final time against a refined
-reference computed once per study, and every study checks that reference
-against a twice-finer run.  Work is reported in transform pairs (one forward
+reference: one per convergence study, checked against a twice-finer run,
+and one per row in a self-convergence study.  Work is reported in transform pairs (one forward
 plus one inverse FFT), a run's being its step count times its method's fixed
 ``pairs_per_step``; wall time is recorded for curiosity but is
-machine-dependent and never part of any assertion.  Methods and
-stepsizes are checked before any run starts.  In both studies a run that
+machine-dependent and never part of any assertion.  Every run a study
+makes, its reference and self-check included, is listed and checked by
+:func:`study_runs` before any run starts.  In both studies a run that
 diverges, or whose reference diverges, is kept as a row with an infinite
 error, never dropped.  Only a convergence study's shared reference and its
 self-check run abort the study, with :class:`DivergenceError`, if they
@@ -14,6 +15,7 @@ diverge.
 """
 
 import csv
+import itertools
 import logging
 import math
 import os
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 
 from .integrators import DivergenceError, evolve, method_order, step_grid
 
-__all__ = ["ConvergenceRow", "StudyResult", "check_methods",
-           "check_stepsizes", "convergence_study", "self_convergence",
-           "write_rows", "CSV_HEADER"]
+__all__ = ["ConvergenceRow", "StudyResult", "study_runs",
+           "convergence_study", "self_convergence", "write_rows",
+           "CSV_HEADER"]
 
 log = logging.getLogger(__name__)
 
@@ -62,16 +64,6 @@ class StudyResult:
         return list(hs), list(es)
 
 
-def check_methods(methods):
-    """Reject an empty method list, an unknown descriptor or a duplicate."""
-    if not methods:
-        raise ValueError("no methods requested")
-    for m in methods:
-        method_order(m)  # raises on unknown descriptors
-    if len(set(methods)) != len(methods):
-        raise ValueError("duplicate methods in the study")
-
-
 def _steps_for(span, stepsizes):
     """Convert requested stepsizes to exact step counts, strictly checked."""
     counts = []
@@ -88,14 +80,60 @@ def _steps_for(span, stepsizes):
     return counts
 
 
-def check_stepsizes(cfg, stepsizes, self_convergence=False):
-    """Step counts of a study over cfg's time span, checked before any run."""
-    counts = _steps_for(cfg.t_final - cfg.t0, stepsizes)
-    for n in counts:
+def study_runs(cfg, methods, stepsizes, self_convergence=False):
+    """Every run of a study as ``{row: run it is measured against}``.
+
+    Runs are ``(method, n_steps)`` pairs.  ``stepsizes`` is either a list
+    shared by all methods or a mapping from method name to its own list.  A
+    convergence study's first entry is its reference, ``cfg.reference_method``
+    at ``cfg.reference_factor`` times the largest row count, measured against
+    the twice-finer self-check; its rows follow method by method in
+    ascending step count, each against that reference.  A self-convergence
+    row is measured against its method at ``cfg.reference_factor`` times its
+    steps.  Every count passes through ``step_grid``, so a bad method,
+    stepsize, reference or self-check raises ``ValueError`` here, before any
+    run starts.
+    """
+    if not methods:
+        raise ValueError("no methods requested")
+    for m in methods:
+        method_order(m)  # raises on unknown descriptors
+    if len(set(methods)) != len(methods):
+        raise ValueError("duplicate methods in the study")
+    if not isinstance(stepsizes, dict):
+        stepsizes = dict.fromkeys(methods, stepsizes)
+    span = cfg.t_final - cfg.t0
+    counts = {m: sorted(_steps_for(span, hs)) for m, hs in stepsizes.items()}
+    if sorted(counts) != sorted(methods):
+        raise ValueError("per-method stepsizes must cover exactly the "
+                         "requested methods")
+    factor = cfg.reference_factor
+    if self_convergence:
+        runs = {(m, n): (m, factor * n) for m in methods for n in counts[m]}
+    else:
+        ref = (cfg.reference_method, factor * max(map(max, counts.values())))
+        runs = {ref: (ref[0], 2 * ref[1])}
+        runs.update(((m, n), ref) for m in methods for n in counts[m])
+    for _, n in itertools.chain(*runs.items()):  # before the length rule
         step_grid(cfg.t0, cfg.t_final, n)
-    if self_convergence and len(counts) < 4:
+    if self_convergence and min(map(len, counts.values())) < 4:
         raise ValueError("self-convergence needs at least 4 stepsizes")
-    return counts
+    return runs
+
+
+def _submit(pool, cfg, runs):
+    """Start each distinct run of ``runs`` once, in the order listed;
+    returns the futures of :func:`_run_one` by run."""
+    return {run: pool.submit(_run_one, cfg, *run)
+            for run in dict.fromkeys(itertools.chain(*runs.items()))}
+
+
+def _rows(cfg, runs, futs):
+    """The study rows of ``runs``, (row, run it is measured against) pairs
+    whose futures are ``futs``."""
+    span = cfg.t_final - cfg.t0
+    return [_row(m, span / n, n, futs[(m, n)], futs[against])
+            for (m, n), against in runs]
 
 
 def _run_one(cfg, method, n_steps):
@@ -117,31 +155,16 @@ def convergence_study(cfg, methods, stepsizes, workers=None, csv_path=None):
     ``stepsizes`` is either a list shared by all methods or a mapping from
     method name to its own list.  The reference is ``cfg.reference_method``
     at the finest requested stepsize divided by ``cfg.reference_factor``,
-    cross-checked against a twice-finer run before any error is trusted.
+    cross-checked against a twice-finer run before any error is trusted
+    (:func:`study_runs`).
     """
-    check_methods(methods)
-    span = cfg.t_final - cfg.t0
-    if isinstance(stepsizes, dict):
-        per_method = {m: check_stepsizes(cfg, hs)
-                      for m, hs in stepsizes.items()}
-        if sorted(per_method) != sorted(methods):
-            raise ValueError("per-method stepsizes must cover exactly the "
-                             "requested methods")
-    else:
-        counts = check_stepsizes(cfg, stepsizes)
-        per_method = {m: list(counts) for m in methods}
-
-    n_ref = cfg.reference_factor * max(max(ns) for ns in per_method.values())
-    jobs = [(m, n) for m in methods for n in sorted(set(per_method[m]))]
+    runs = study_runs(cfg, methods, stepsizes)
+    (ref_run, check_run), *jobs = runs.items()
 
     with ThreadPoolExecutor(max_workers=_pool_size(cfg, workers)) as pool:
-        ref_fut = pool.submit(_run_one, cfg, cfg.reference_method, n_ref)
-        check_fut = pool.submit(_run_one, cfg, cfg.reference_method, 2 * n_ref)
-        futs = {(m, n): pool.submit(_run_one, cfg, m, n) for m, n in jobs}
-
-        ref, _ = ref_fut.result()
-        check, _ = check_fut.result()
-        check_distance = ref.field.distance(check.field)
+        futs = _submit(pool, cfg, runs)
+        ref = futs[ref_run].result()[0]
+        check_distance = ref.field.distance(futs[check_run].result()[0].field)
         # no study row below 1e-9 is ever trusted, so the reference pair must
         # agree below that floor.  The pair cannot agree to machine precision:
         # over tens of thousands of steps the runs accumulate FFT roundoff,
@@ -150,13 +173,13 @@ def convergence_study(cfg, methods, stepsizes, workers=None, csv_path=None):
         # bound would reject healthy references.
         if not check_distance < 1e-9:
             raise RuntimeError(
-                f"reference self-check failed: {cfg.reference_method} at "
-                f"{n_ref} and {2 * n_ref} steps differ by "
+                f"reference self-check failed: {ref_run[0]} at "
+                f"{ref_run[1]} and {check_run[1]} steps differ by "
                 f"{check_distance:.3e} (>= 1e-9); the study cannot be "
                 f"trusted at this resolution")
 
-        rows = [_row(m, span / n, n, futs[(m, n)], ref_fut) for m, n in jobs]
-    return StudyResult(_finish(rows, csv_path), cfg.reference_method, n_ref,
+        rows = _rows(cfg, jobs, futs)
+    return StudyResult(_finish(rows, csv_path), ref_run[0], ref_run[1],
                        ref.norm_final, check_distance)
 
 
@@ -166,16 +189,9 @@ def self_convergence(cfg, method, stepsizes, csv_path=None):
     The nonlinear regime has no dense oracle; consistency under refinement
     is the substitute.
     """
-    check_methods([method])
-    span = cfg.t_final - cfg.t0
-    counts = check_stepsizes(cfg, stepsizes, self_convergence=True)
-    factor = cfg.reference_factor
-
+    runs = study_runs(cfg, [method], stepsizes, self_convergence=True)
     with ThreadPoolExecutor(max_workers=_pool_size(cfg)) as pool:
-        coarse = {n: pool.submit(_run_one, cfg, method, n) for n in counts}
-        fine = {n: pool.submit(_run_one, cfg, method, factor * n)
-                for n in counts}
-        rows = [_row(method, span / n, n, coarse[n], fine[n]) for n in counts]
+        rows = _rows(cfg, runs.items(), _submit(pool, cfg, runs))
     return _finish(rows, csv_path)
 
 

@@ -317,6 +317,6 @@ def evolve(start, trap, theta, method, t_final, n_steps, snapshot_times=()):
 
     final = Field(grid, values, t0 + n_steps * h, start.frame)
     return EvolveResult(field=final, n_steps=n_steps, step_size=h,
-                        norm_initial=norm0, norm_final=final.norm(),
+                        norm_initial=norm0, norm_final=norm,
                         transform_pairs=n_steps * pairs_per_step(method),
                         snapshots=snapshots)

@@ -49,14 +49,6 @@ class Trap:
     def angle(self, t):
         return self.rotation_rate * t
 
-    def rotation_matrix(self, t):
-        """Map from rotating to laboratory coordinates, x = R(t) xi."""
-        w = self.angle(t)
-        c, s = np.cos(w), np.sin(w)
-        R = np.eye(self.dim)
-        R[:2, :2] = ((c, s), (-s, c))
-        return R
-
     def quad_coefficients(self, t):
         """Coefficients (c11, c22, c12[, c33]) of the rotated trap
 

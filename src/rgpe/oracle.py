@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 __all__ = ["GAUSS3_NODES", "DENSE_LIMIT", "potential_direct", "dense_kinetic",
-           "build_dense", "alpha_triple", "magnus_omega6",
+           "rotation_matrix", "build_dense", "alpha_triple", "magnus_omega6",
            "magnus_omega6_modified", "omega6_exponent", "midpoint_reference",
            "dense_reference", "observed_order", "local_order_check",
            "gradient_deviation", "classical_transform_check"]
@@ -26,12 +26,22 @@ GAUSS3_NODES = (0.5 - _S15 / 10.0, 0.5, 0.5 + _S15 / 10.0)
 DENSE_LIMIT = 4096
 
 
+def rotation_matrix(trap, t):
+    """Map from rotating to laboratory coordinates, x = R(t) xi: the
+    trap's rotation in the (x1, x2) plane by the angle ``trap.angle(t)``."""
+    w = trap.angle(t)
+    c, s = np.cos(w), np.sin(w)
+    R = np.eye(trap.dim)
+    R[:2, :2] = ((c, s), (-s, c))
+    return R
+
+
 def potential_direct(trap, points, t):
     """V(R(t) xi) by explicit matrix-vector product, nothing expanded.
 
     ``points`` has shape (..., dim); the result drops the last axis.
     """
-    x = np.asarray(points, dtype=float) @ trap.rotation_matrix(t).T
+    x = np.asarray(points, dtype=float) @ rotation_matrix(trap, t).T
     g = np.asarray(trap.gammas)
     return 0.5 * np.sum((g * x) ** 2, axis=-1)
 

@@ -90,11 +90,18 @@ def studies():
 
 
 @pytest.fixture(scope="session")
-def c3_runs():
-    """Every method against the dense micro-step reference, linear case."""
+def c3_reference():
+    """Criterion 3's start state and its dense micro-step reference."""
     vals = gaussian_state(C3_GRID, (1.1, 0.9))
     vals = vals / C3_GRID.l2_norm(vals)
-    ref = dense_reference(C3_GRID, C3_TRAP, vals, 0.0, C3_SPAN, n_micro=4096)
+    return vals, dense_reference(C3_GRID, C3_TRAP, vals, 0.0, C3_SPAN,
+                                 n_micro=4096)
+
+
+@pytest.fixture(scope="session")
+def c3_runs(c3_reference):
+    """Every method against the dense micro-step reference, linear case."""
+    vals, ref = c3_reference
     errors = {}
     for method, ns in C3_WINDOWS.items():
         hs, es = [], []
@@ -198,6 +205,51 @@ def test_criterion_3_linear_orders_against_dense_reference(c3_runs,
                "against the dense micro-step reference (8^2, linear); "
                "single h=1e-3 steps of the order-6 methods agree to "
                f"{max(single.values()):.1e}")
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-14], ids=["theta0", "full"])
+def test_3d_paths_match_separable_oracle(c3_reference, theta):
+    """Criterion 3's orders and single-step bound on 8x8x8, both 3-D paths.
+
+    At theta = 0, H(t) = H_plane(t) x I + I x H_3, with the axial
+    H_3 = -d_3^2 / 2 + gamma_3^2 xi_3^2 / 2, and the two parts commute.  So
+    the product state psi x chi goes exactly to (U_plane psi) x
+    (expm(-i T H_3) chi), whose plane factor is criterion 3's dense
+    reference.  H_3 is a dense 8 x 8 matrix here, apart from the fast path.
+    A theta of 1e-14, far below the errors, sends the same case through
+    the full 3-D path instead of the theta = 0 plane step.
+    """
+    from scipy.linalg import expm
+
+    vals, ref = c3_reference
+    grid = Grid(3, C3_GRID.half_widths + (3.5,), C3_GRID.sizes + (8,))
+    gamma3 = 1.1
+    trap = Trap(C3_TRAP.gammas + (gamma3,), C3_TRAP.rotation_rate)
+    k3, xi3 = grid.wavenumbers[2], grid.axes[2]
+    h3 = (np.fft.ifft(0.5 * k3[:, None] ** 2 * np.fft.fft(np.eye(8), axis=0),
+                      axis=0) + np.diag(0.5 * gamma3 ** 2 * xi3 ** 2))
+    chi = np.exp(-0.5 * xi3 ** 2).astype(complex)
+    chi /= np.sqrt(grid.cell_volume / C3_GRID.cell_volume
+                   * np.vdot(chi, chi).real)  # a unit-norm product state
+    start = vals[..., None] * chi
+
+    def exact(plane, span):
+        return plane[..., None] * (expm(-1j * span * h3) @ chi)
+
+    target = exact(ref, C3_SPAN)
+    for method, ns in C3_WINDOWS.items():
+        es = [grid.l2_norm(evolve(Field(grid, start, 0.0, "rotating"), trap,
+                                  theta, method, C3_SPAN, n).field.values
+                           - target) for n in ns]
+        slope = observed_order([C3_SPAN / n for n in ns], es)
+        order = method_order(method)
+        assert abs(slope - order) <= SLOPE_TOL[order], \
+            f"{method}: 3-D order {slope:.3f}, nominal {order}"
+    target = exact(dense_reference(C3_GRID, C3_TRAP, vals, 0.0, 1e-3,
+                                   n_micro=16), 1e-3)
+    for method in ("cf6af+rkn116", "bbk+rkn116"):
+        step = make_stepper(method, TrapOnGrid(trap, grid), theta)
+        assert grid.l2_norm(step(start, 0.0, 1e-3) - target) < 1e-8
 
 
 def test_criterion_4_truncated_exponent_local_order(acceptance):

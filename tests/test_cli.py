@@ -178,24 +178,46 @@ def test_snapshot_names_never_collide(tmp_path, monkeypatch, capsys,
         assert code == 0 and dumps == names
 
 
-@pytest.mark.parametrize("command", ["converge", "self-converge"])
-@pytest.mark.parametrize("methods,steps,match", [
-    ("cf2+strang,cf9+magic", "2,4,8,16", "unknown method"),
-    (",", "2,4,8,16", "no methods"),
-    ("cf2+strang", "0", "positive"),
-    ("cf2+strang", "8,0", "positive"),
-    ("cf2+strang,cf2+strang", "2,4,8,16", "duplicate methods"),
-], ids=["unknown-method", "no-methods", "zero-steps", "zero-in-list",
-        "duplicate-methods"])
-def test_bad_study_arguments_exit_2_before_any_run(tiny_cfg, tmp_path,
-                                                   monkeypatch, capsys,
-                                                   command, methods, steps,
-                                                   match):
+def _study_exit(tmp_path, monkeypatch, text, command, *args):
+    """Exit code of a study command on config ``text``, and the evolve
+    calls it made; real runs go ahead, so only exit 2 records none."""
     calls = []
-    monkeypatch.setattr(rgpe.harness, "evolve",
-                        lambda *a, **k: calls.append(a))
-    code = main(["--config", tiny_cfg, "--out", str(tmp_path / "o"), command,
-                 "--methods", methods, "--steps", steps])
+    real_evolve = rgpe.harness.evolve
+
+    def recording(*a, **k):
+        calls.append(a)
+        return real_evolve(*a, **k)
+
+    monkeypatch.setattr(rgpe.harness, "evolve", recording)
+    p = tmp_path / "study.cfg"
+    p.write_text(text)
+    code = main(["--config", str(p), "--out", str(tmp_path / "o"), command,
+                 *args])
+    return code, calls
+
+
+# a reference of 5e20 steps (or 2e21 for self-convergence's 4 steps) has a
+# step size below the resolution of the time axis, as has its self-check
+HUGE_FACTOR = TINY_CFG.replace("reference_factor = 5",
+                               "reference_factor = 100000000000000000000")
+
+
+@pytest.mark.parametrize("command", ["converge", "self-converge"])
+@pytest.mark.parametrize("methods,steps,text,match", [
+    ("cf2+strang,cf9+magic", "2,4,8,16", TINY_CFG, "unknown method"),
+    (",", "2,4,8,16", TINY_CFG, "no methods"),
+    ("cf2+strang", "0", TINY_CFG, "positive"),
+    ("cf2+strang", "8,0", TINY_CFG, "positive"),
+    ("cf2+strang,cf2+strang", "2,4,8,16", TINY_CFG, "duplicate methods"),
+    ("cf2+strang", "4,8,16,32", HUGE_FACTOR,
+     "below the resolution of the time axis"),
+], ids=["unknown-method", "no-methods", "zero-steps", "zero-in-list",
+        "duplicate-methods", "unresolved-reference"])
+def test_bad_study_arguments_exit_2_before_any_run(tmp_path, monkeypatch,
+                                                   capsys, command, methods,
+                                                   steps, text, match):
+    code, calls = _study_exit(tmp_path, monkeypatch, text, command,
+                              "--methods", methods, "--steps", steps)
     assert code == 2
     assert match in capsys.readouterr().err
     assert calls == []
@@ -232,6 +254,37 @@ def test_stepsize_without_finite_step_count_exits_2(tmp_path, capsys):
             assert main(["--config", str(p), "--out", str(tmp_path / "o"),
                          command, *steps]) == 2
             assert match in capsys.readouterr().err
+    assert not list(tmp_path.rglob("effective-config.cfg"))
+
+
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("command", ["converge", "self-converge"])
+@pytest.mark.parametrize("key,value", [
+    *[("stepsizes", h) for h in ("0", "-0.25", "nan", "inf", "1e-320",
+                                 "1e-300", "1e308", "0.3")],
+    ("reference_factor", "100000000000000000000"),
+    ("reference_factor", _HUGE),
+    *[("--steps", n) for n in ("0", "-1", _HUGE, "a")],
+    *[("--methods", m) for m in ("", ",", "cf9+magic",
+                                 "cf2+strang,cf2+strang")],
+], ids=lambda v: {_HUGE: "1e400", "100000000000000000000": "1e20"}.get(v))
+def test_study_edge_values_exit_2_before_any_run(tmp_path, monkeypatch,
+                                                 capsys, command, key,
+                                                 value):
+    # one bad value at a time on the tiny config; 0.3 does not divide 0.5
+    text, args = TINY_CFG, []
+    if key.startswith("--"):
+        args = [key, value]
+    elif key == "stepsizes":
+        text += f"stepsizes = {value}\n"
+    else:
+        text = text.replace("reference_factor = 5", f"{key} = {value}")
+    code, calls = _study_exit(tmp_path, monkeypatch, text, command, *args)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
     assert not list(tmp_path.rglob("effective-config.cfg"))
 
 

@@ -10,7 +10,7 @@ from rgpe.cli import main
 from rgpe.config import RunConfig
 from rgpe.harness import (CSV_HEADER, ConvergenceRow, StudyResult,
                           _steps_for, convergence_study, self_convergence,
-                          write_rows)
+                          study_runs, write_rows)
 from rgpe.integrators import DivergenceError, pairs_per_step
 from rgpe.oracle import observed_order
 from rgpe.spectral import read_field
@@ -174,7 +174,53 @@ def test_studies_check_methods_before_any_run(monkeypatch):
     with pytest.raises(ValueError, match="duplicate methods"):
         convergence_study(cfg, ["cf2+strang", "cf4+rkn74", "cf2+strang"],
                           [0.25, 0.125])
+    # rows that would run, but a reference of 4e21 steps (8e21 for its
+    # self-check) and self-convergence references of 2e20 steps and more
+    # have step sizes below the resolution of the time axis
+    huge = RunConfig(**dict(TINY, reference_factor=10 ** 20))
+    with pytest.raises(ValueError, match="below the resolution"):
+        convergence_study(huge, ["cf2+strang"], [0.5, 0.25])
+    with pytest.raises(ValueError, match="below the resolution"):
+        self_convergence(huge, "cf2+strang", [0.5, 0.25, 0.125, 0.0625])
     assert calls == []
+
+
+def test_study_runs_lists_every_run_once():
+    cfg = RunConfig(**TINY)
+    ref = ("bbk+rkn116", 80)
+    assert list(study_runs(cfg, ["cf4+rkn74", "cf2+strang"],
+                           [0.0625, 0.25]).items()) == [
+        (ref, ("bbk+rkn116", 160)),
+        (("cf4+rkn74", 4), ref), (("cf4+rkn74", 16), ref),
+        (("cf2+strang", 4), ref), (("cf2+strang", 16), ref)]
+    per_method = study_runs(cfg, ["cf2+strang", "cf4+rkn74"],
+                            {"cf4+rkn74": [0.5], "cf2+strang": [0.125]})
+    assert list(per_method) == [("bbk+rkn116", 40), ("cf2+strang", 8),
+                                ("cf4+rkn74", 2)]
+    assert study_runs(cfg, ["cf2+strang"], [0.5, 0.25, 0.125, 0.1],
+                      self_convergence=True) == {
+        ("cf2+strang", n): ("cf2+strang", 5 * n) for n in (2, 4, 8, 10)}
+    # the row counts are checked before the self-convergence length rule
+    with pytest.raises(ValueError, match="does not divide"):
+        study_runs(cfg, ["cf2+strang"], [0.3], self_convergence=True)
+    with pytest.raises(ValueError, match="at least 4"):
+        study_runs(cfg, ["cf2+strang"], [0.5], self_convergence=True)
+
+
+def test_self_convergence_runs_a_shared_run_once(monkeypatch):
+    # with 2 and 10 steps, the 2-step row's 10-step reference is a row too
+    cfg = RunConfig(**TINY)
+    real_evolve = harness.evolve
+    counts = []
+
+    def counting(start, trap, theta, method, t_final, n_steps, **kw):
+        counts.append(n_steps)
+        return real_evolve(start, trap, theta, method, t_final, n_steps, **kw)
+
+    monkeypatch.setattr(harness, "evolve", counting)
+    rows = self_convergence(cfg, "cf2+strang", [0.5, 0.25, 0.125, 0.1])
+    assert sorted(counts) == [2, 4, 8, 10, 20, 40, 50]
+    assert [r.n_steps for r in rows] == [10, 8, 4, 2]
 
 
 def test_errors_for_unknown_method_is_empty():

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from rgpe import _tables
 from rgpe.model import (Trap, TrapOnGrid, gaussian_state, nonlinearity,
                         vortex_state)
-from rgpe.oracle import gradient_deviation, potential_direct
+from rgpe.oracle import gradient_deviation, potential_direct, rotation_matrix
 from rgpe.spectral import Grid
 
 TRAP = Trap((0.8, 1.2), 0.5)
@@ -40,13 +40,13 @@ def test_trap_validation():
 
 def test_rotation_matrix_quarter_turn():
     # rotation_rate * t = pi/2
-    R = TRAP.rotation_matrix(np.pi)
+    R = rotation_matrix(TRAP, np.pi)
     np.testing.assert_allclose(R, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-12)
 
 
 def test_rotation_matrix_is_special_orthogonal():
     for t in (0.0, 0.7, 3.1):
-        R = TRAP.rotation_matrix(t)
+        R = rotation_matrix(TRAP, t)
         np.testing.assert_allclose(R @ R.T, np.eye(2), atol=1e-14)
         assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-14)
 
@@ -54,19 +54,19 @@ def test_rotation_matrix_is_special_orthogonal():
 def test_rotation_matrix_satisfies_its_ode():
     # R'(t) = omega' J R(t) with J = [[0,1],[-1,0]] by central differences
     t, eps = 0.9, 1e-6
-    dR = (TRAP.rotation_matrix(t + eps) - TRAP.rotation_matrix(t - eps)) \
+    dR = (rotation_matrix(TRAP, t + eps) - rotation_matrix(TRAP, t - eps)) \
         / (2 * eps)
     J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    np.testing.assert_allclose(dR, 0.5 * J @ TRAP.rotation_matrix(t),
+    np.testing.assert_allclose(dR, 0.5 * J @ rotation_matrix(TRAP, t),
                                atol=1e-9)
 
 
 def test_rotation_matrix_3d_leaves_axis_alone():
     trap = Trap((0.8, 1.2, 1.0), 0.5)
-    R = trap.rotation_matrix(1.3)
+    R = rotation_matrix(trap, 1.3)
     assert R.shape == (3, 3)
     np.testing.assert_allclose(R[2], [0.0, 0.0, 1.0], atol=0)
-    np.testing.assert_allclose(R[:2, :2], TRAP.rotation_matrix(1.3))
+    np.testing.assert_allclose(R[:2, :2], rotation_matrix(TRAP, 1.3))
 
 
 def test_potential_matches_rotated_evaluation(rng):
@@ -74,7 +74,7 @@ def test_potential_matches_rotated_evaluation(rng):
     for trap in (TRAP, Trap((0.8, 1.2, 1.0), 0.5)):
         pts = rng.uniform(-4, 4, size=(40, trap.dim))
         for t in (0.0, 0.77, 2.5):
-            R = trap.rotation_matrix(t)
+            R = rotation_matrix(trap, t)
             gammas = np.asarray(trap.gammas)
             direct = 0.5 * ((pts @ R.T) ** 2 * gammas ** 2).sum(axis=1)
             np.testing.assert_allclose(potential_direct(trap, pts, t),
