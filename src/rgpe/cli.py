@@ -92,7 +92,8 @@ def cmd_simulate(args):
     _echo_config(cfg)
     grid, trap, start = cfg.build()
     res = evolve(start, trap, cfg.theta, cfg.method, cfg.t_final, cfg.n_steps,
-                 snapshot_times=cfg.snapshot_times)
+                 snapshot_times=cfg.snapshot_times,
+                 threads=cfg.workers or None)
     drift = res.norm_drift / res.norm_initial
     if not drift < 1e-8:
         # a run that fails unitarity that badly has nothing trustworthy to dump
@@ -202,7 +203,9 @@ def build_parser():
     p.add_argument("--theta", type=float, help="override coupling constant")
     p.add_argument("--dim", type=int, choices=(2, 3), help="override "
                    "dimension (2-D configs extend to the 3-D defaults)")
-    p.add_argument("--workers", type=int, help="concurrent runs in studies")
+    p.add_argument("--workers", type=int, help="concurrent runs in studies; "
+                   "threads per step in simulate (default: the CPUs this "
+                   "process may use)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("simulate", help="single evolution with snapshots")

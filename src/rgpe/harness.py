@@ -18,12 +18,12 @@ import csv
 import itertools
 import logging
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .integrators import DivergenceError, evolve, method_order, step_grid
+from .integrators import (DivergenceError, evolve, method_order,
+                          process_cpus, step_grid)
 
 __all__ = ["ConvergenceRow", "StudyResult", "study_runs",
            "convergence_study", "self_convergence", "write_rows",
@@ -139,14 +139,14 @@ def _rows(cfg, runs, futs):
 def _run_one(cfg, method, n_steps):
     grid, trap, start = cfg.build()
     tic = time.perf_counter()
-    res = evolve(start, trap, cfg.theta, method, cfg.t_final, n_steps)
+    # one thread per run: the pool already runs one run per CPU
+    res = evolve(start, trap, cfg.theta, method, cfg.t_final, n_steps,
+                 threads=1)
     return res, (time.perf_counter() - tic) * 1e3
 
 
 def _pool_size(cfg, requested=None):
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count())  # the CPUs this process may run on
-    return requested or cfg.workers or cpus or 1
+    return requested or cfg.workers or process_cpus()
 
 
 def convergence_study(cfg, methods, stepsizes, workers=None, csv_path=None):

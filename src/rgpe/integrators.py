@@ -19,6 +19,8 @@ a gradient correction.
 import functools
 import hashlib
 import math
+import os
+import threading
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -125,13 +127,56 @@ def _axial_flow(taus, lines, k3):
     return flow
 
 
+# Fewest grid points in a plane chunk of a 3-D theta = 0 step (make_stepper).
+# Steps split in two on 2 shared vCPUs, against one thread: at 16^3 (2,048
+# points a chunk) cf2+strang, bbk+rkn116 and cf6af+rkn116 ran 1.4-1.9x; at
+# 8,192-12,288 points bbk+rkn116 still ran 1.10-1.14x; at 32^3 (16,384)
+# bbk+rkn116 ran 0.64-0.72x and cf6af+rkn116 0.69x; at 64^3 both 0.55x.
+CHUNK_POINTS = 16384
+
+
+def process_cpus():
+    """The CPUs this process may run on, or ``os.cpu_count()`` where the
+    platform has no affinity call; at least 1."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    return cpus or 1
+
+
+def _on_threads(run, parts):
+    """Call run(part) for every part: the first on the calling thread, the
+    others on threads started here.  Every started thread is joined before
+    this returns or raises, and an exception of any part is raised."""
+    errors = []
+
+    def guarded(part):
+        try:
+            run(part)
+        except BaseException as exc:  # raised again on the calling thread
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=guarded, args=(part,))
+               for part in parts[1:]]
+    try:
+        for helper in helpers:
+            helper.start()
+        run(parts[0])
+    finally:
+        for helper in helpers:
+            if helper.ident is not None:  # started
+                helper.join()
+    if errors:
+        raise errors[0]
+
+
 def make_stepper(method, trap_grid, theta):
-    """Return step(values, t, h) -> values advancing one step from time t.
+    """Return step(values, t, h, threads=1) -> values advancing one step
+    from time t.
 
     The stepper owns a workspace if theta != 0 and, for the last h, its
     sub-steps with one kinetic phase per distinct tau, so it belongs to one
-    thread.  Each step evaluates the trap once per node, copies its input
-    once into a buffer, runs the sub-steps there with one
+    caller at a time.  Each step evaluates the trap once per node, copies
+    its input once into a buffer, runs the sub-steps there with
     :func:`apply_splitting` and returns a fresh C-contiguous copy: the
     caller's array is never written.
 
@@ -146,6 +191,12 @@ def make_stepper(method, trap_grid, theta):
     step applies them first, as one matrix along xi_3 (:func:`_axial_flow`,
     built per h) in place of the copy, and then runs the 2-D step of the
     (xi_1, xi_2) grid on the buffer's M3 planes, with xi_3 its first axis.
+    No sub-step couples two planes, so the step splits the buffer into up
+    to ``threads`` contiguous chunks of planes, each of at least
+    ``CHUNK_POINTS`` grid points, and runs the first on the calling thread
+    and each other on a thread of its own that it starts and joins.  Every
+    plane sees the same operations in the same order, so the result does
+    not depend on ``threads``.  Other steps run on the calling thread.
     """
     (nodes, _, stages), inner = _parse(method)
     plan = _plan(stages, inner)
@@ -161,6 +212,8 @@ def make_stepper(method, trap_grid, theta):
                                Grid(2, grid.half_widths[:2], grid.sizes[:2]))
         shape = (grid.sizes[2], grid.sizes[0], grid.sizes[1] + 1)
     work = workspace(shape) if theta else None
+    most_chunks = (1 if axial is None
+                   else min(shape[0], math.prod(grid.sizes) // CHUNK_POINTS))
 
     def padded(array, fill):
         """``array`` with its last axis padded with ``fill``, unless it
@@ -195,7 +248,7 @@ def make_stepper(method, trap_grid, theta):
                  for _, row, _, _ in stages]
         return substeps, _axial_flow(taus, lines, grid.wavenumbers[2])
 
-    def step(values, t, h):
+    def step(values, t, h, threads=1):
         substeps, flow = per_h(h)
         buffer = np.empty(shape, np.complex128)
         buffer[..., -1] = 0.0
@@ -216,7 +269,11 @@ def make_stepper(method, trap_grid, theta):
                                                 shift if corrects else 0.0)
             potentials.append((padded(plane, 0.0),
                                None if line is None else padded(line, 0.0)))
-        apply_splitting(buffer, substeps, potentials, work, pad=1)
+        chunks = min(threads, most_chunks)
+        _on_threads(lambda part: apply_splitting(part, substeps, potentials,
+                                                 work, pad=1),
+                    np.array_split(buffer, chunks) if chunks > 1
+                    else [buffer])
         return (view if axial is None else view.transpose(1, 2, 0)).copy()
 
     return step
@@ -277,14 +334,17 @@ def step_grid(t0, t_final, n_steps, snapshot_times=()):
     return h, snap_at
 
 
-def evolve(start, trap, theta, method, t_final, n_steps, snapshot_times=()):
+def evolve(start, trap, theta, method, t_final, n_steps, snapshot_times=(),
+           threads=None):
     """Propagate a Field to t_final in n_steps fixed steps of one method.
 
     Snapshot times must fall on step boundaries (:func:`step_grid`); a copy
     of the state is recorded at each.  Norm blow-up or non-finite values,
     looked for every ``CHECK_EVERY`` steps, at snapshots and at the end,
     raise :class:`DivergenceError`.  The reported transform pairs are the
-    method's fixed cost, ``n_steps * pairs_per_step(method)``.
+    method's fixed cost, ``n_steps * pairs_per_step(method)``.  ``threads``
+    caps the threads each step may run on (see :func:`make_stepper`); None
+    means :func:`process_cpus`.  The result does not depend on it.
     """
     if start.frame != "rotating":
         raise ValueError("the steppers act in the rotating frame; "
@@ -297,6 +357,7 @@ def evolve(start, trap, theta, method, t_final, n_steps, snapshot_times=()):
 
     trap_grid = TrapOnGrid(trap, grid)
     stepper = make_stepper(method, trap_grid, theta)
+    threads = process_cpus() if threads is None else threads
     values = start.values
     norm0 = grid.l2_norm(values)
 
@@ -304,7 +365,7 @@ def evolve(start, trap, theta, method, t_final, n_steps, snapshot_times=()):
     if 0 in snap_at:
         snapshots.append(Field(grid, values.copy(), t0, start.frame))
     for n in range(1, n_steps + 1):
-        values = stepper(values, t0 + (n - 1) * h, h)
+        values = stepper(values, t0 + (n - 1) * h, h, threads)
         if n % CHECK_EVERY == 0 or n == n_steps or n in snap_at:
             norm = grid.l2_norm(values)
             if not math.isfinite(norm) or norm > 10.0 * max(norm0, 1e-300):

@@ -66,6 +66,24 @@ def test_simulate_is_deterministic(tiny_cfg, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_simulate_dump_does_not_depend_on_workers(tmp_path):
+    # --workers caps the threads of each step; at 32^3 and theta = 0 the
+    # default splits the planes when the process may use several CPUs
+    p = tmp_path / "planes.cfg"
+    p.write_text("[run]\ndim = 3\nhalf_widths = 6, 5, 4\nsizes = 32, 32, 32\n"
+                 "gammas = 0.8, 1.2, 1.1\ngaussian_weights = 1.1, 0.9, 1\n"
+                 "theta = 0\nmethod = cf2+strang\nt_final = 0.1\n"
+                 "n_steps = 2\n")
+    dumps = []
+    for workers in (["--workers", "1"], []):
+        out = str(tmp_path / f"out{len(dumps)}")
+        assert main(["--config", str(p), "--out", out, *workers,
+                     "simulate"]) == 0
+        with open(os.path.join(out, "final.field"), "rb") as fh:
+            dumps.append(fh.read())
+    assert dumps[0] == dumps[1]
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     p = tmp_path / "bad.cfg"
     p.write_text("[run]\ntimestep = 0.1\n")

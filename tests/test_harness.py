@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 
 import pytest
 
@@ -36,15 +37,29 @@ def test_steps_for_rejects_non_divisors_and_duplicates():
 
 
 def test_pool_size_counts_the_cpus_this_process_may_use(monkeypatch):
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0},
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert harness._pool_size(RunConfig()) == 1
     assert harness._pool_size(RunConfig(workers=3)) == 3
     assert harness._pool_size(RunConfig(), requested=4) == 4
     # without an affinity call, every CPU counts
-    monkeypatch.delattr(harness.os, "sched_getaffinity")
+    monkeypatch.delattr(os, "sched_getaffinity")
     assert harness._pool_size(RunConfig()) == 2
+
+
+def test_study_runs_step_on_one_thread_each(monkeypatch):
+    # the pool already runs one run per CPU
+    threads = []
+    real_evolve = harness.evolve
+
+    def recorded(*args, **kw):
+        threads.append(kw.get("threads"))
+        return real_evolve(*args, **kw)
+
+    monkeypatch.setattr(harness, "evolve", recorded)
+    convergence_study(RunConfig(**TINY), ["cf2+strang"], [0.25, 0.125])
+    assert threads == [1] * 4
 
 
 def test_convergence_study_small(tmp_path):

@@ -2,6 +2,8 @@
 
 import math
 import pickle
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -303,6 +305,95 @@ def test_padded_step_equals_unpadded_step(method, theta, monkeypatch):
         assert not buffer[..., -pad:].any()
         assert np.array_equal(out, _plain_step(method, tg, theta, vals,
                                                0.3, 0.05))
+
+
+def _record_chunks(monkeypatch, fail=None):
+    """Record the first-axis length of each array the stepper passes to
+    apply_splitting.  With ``fail`` "first" or "helper", raise
+    FloatingPointError on the calling thread, or after a pause on the
+    threads the step starts."""
+    chunks = []
+    real = integrators.apply_splitting
+    caller = threading.get_ident()
+
+    def recorded(values, *args, **kwargs):
+        chunks.append(values.shape[0])
+        helper = threading.get_ident() != caller
+        if fail == "helper" and helper:
+            time.sleep(0.05)  # the calling thread's chunk is done by now
+        if fail == ("helper" if helper else "first"):
+            raise FloatingPointError("chunk failed")
+        return real(values, *args, **kwargs)
+
+    monkeypatch.setattr(integrators, "apply_splitting", recorded)
+    return chunks
+
+
+def _plane_case():
+    grid = Grid(3, (3.5, 3.0, 2.5), (8, 6, 4))
+    tg = TrapOnGrid(Trap((0.8, 1.2, 1.1), 0.5), grid)
+    return tg, gaussian_state(grid, (1.1, 0.9, 1.0))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_step_in_plane_chunks_equals_one_chunk(method, monkeypatch):
+    # with a floor of 1 point, three threads split the 4 planes of a 3-D
+    # theta = 0 step 2, 1 and 1; every plane sees the same operations
+    monkeypatch.setattr(integrators, "CHUNK_POINTS", 1)
+    chunks = _record_chunks(monkeypatch)
+    tg, vals = _plane_case()
+    step = make_stepper(method, tg, 0.0)
+    one = step(step(vals, 0.3, 0.05), 0.35, 0.05)
+    assert chunks == [4, 4]
+    chunks.clear()
+    split = step(step(vals, 0.3, 0.05, threads=3), 0.35, 0.05, threads=3)
+    assert sorted(chunks) == [1, 1, 1, 1, 2, 2]
+    assert np.array_equal(split, one)
+
+
+@pytest.mark.parametrize("fail", ["first", "helper"])
+def test_failing_chunk_fails_the_step_after_every_join(fail, monkeypatch):
+    monkeypatch.setattr(integrators, "CHUNK_POINTS", 1)
+    chunks = _record_chunks(monkeypatch, fail)
+    tg, vals = _plane_case()
+    step = make_stepper("cf2+strang", tg, 0.0)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="chunk failed"):
+        step(vals, 0.3, 0.05, threads=3)
+    assert sorted(chunks) == [1, 1, 2]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("sizes,theta", [((16, 16, 16), 0.0),
+                                         ((32, 32, 32), 10.0),
+                                         ((256, 128), 0.0)])
+def test_step_runs_one_chunk_below_the_floor_and_off_the_plane_path(
+        sizes, theta, monkeypatch):
+    # 16^3 has too few points for two chunks; the planes of a 3-D
+    # theta != 0 step couple, and a 2-D step has one plane
+    chunks = _record_chunks(monkeypatch)
+    dim = len(sizes)
+    grid = Grid(dim, (6.0, 5.0, 4.0)[:dim], sizes)
+    tg = TrapOnGrid(Trap((0.8, 1.2, 1.1)[:dim], 0.5), grid)
+    make_stepper("cf2+strang", tg, theta)(
+        gaussian_state(grid, (1.1, 0.9, 1.0)[:dim]), 0.3, 0.05, threads=4)
+    assert chunks == [sizes[2] if dim == 3 and not theta else sizes[0]]
+
+
+@pytest.mark.parametrize("threads,cpus,chunks_per_step",
+                         [(None, 3, 3), (1, 3, 1), (None, 1, 1)])
+def test_evolve_caps_the_threads_of_its_steps(threads, cpus,
+                                              chunks_per_step, monkeypatch):
+    # threads=None means the CPUs this process may run on
+    monkeypatch.setattr(integrators, "CHUNK_POINTS", 1)
+    monkeypatch.setattr(integrators, "process_cpus", lambda: cpus)
+    tg, vals = _plane_case()
+    start = Field(tg.grid, vals, 0.0, "rotating")
+    single = evolve(start, tg.trap, 0.0, "cf2+strang", 0.1, 2, threads=1)
+    chunks = _record_chunks(monkeypatch)
+    res = evolve(start, tg.trap, 0.0, "cf2+strang", 0.1, 2, threads=threads)
+    assert len(chunks) == 2 * chunks_per_step
+    assert np.array_equal(res.field.values, single.field.values)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

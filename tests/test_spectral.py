@@ -237,3 +237,28 @@ def test_field_dump_rejects_corruption(tmp_path, rng):
                          + raw[head:])
         with pytest.raises(ValueError, match="corrupt dump"):
             read_field(path)
+
+
+def test_field_dump_header_bit_flips_read_or_raise_value_error(tmp_path,
+                                                              rng):
+    # each single-bit flip of a 2-D dump's 45-byte header reads as a field
+    # (a changed time, half width or frame) or raises ValueError, never any
+    # other exception; the counts pin which flips are caught today
+    grid = Grid(2, (3.0, 2.0), (8, 6))
+    path = tmp_path / "state.field"
+    write_field(Field(grid, _random_field(grid, rng), time=0.5), path)
+    raw = path.read_bytes()
+    header = len(raw) - 16 * 8 * 6
+    assert header == 45
+    read = rejected = 0
+    for bit in range(8 * header):
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << bit % 8
+        path.write_bytes(flipped)
+        try:
+            assert isinstance(read_field(path), Field)
+            read += 1
+        except ValueError:
+            rejected += 1
+    assert (read, rejected) == (189, 171)
+
